@@ -450,7 +450,7 @@ void EventSet::preallocate_scratch() {
     max_group = std::max(max_group, plan.members.size());
   }
   scratch_live_.assign(multiplex_ ? max_group : 0, 0);
-  stopped_raw_.reserve(natives_.size());  // stop() snapshots into this
+  stopped_raw_.assign(natives_.size(), 0);  // stop() snapshots into this
   // Per-native fold/latch/flag state: last good values start at the
   // post-reset zero point, fidelity flags start clean.
   folds_.assign(natives_.size(), NativeFold{});
@@ -629,12 +629,11 @@ void EventSet::rotate_mux() {
 
   // Close the current slice.
   (void)context_->stop();
-  scratch_live_.assign(mux_plans_[mux_current_].members.size(), 0);
-  (void)context_->read(scratch_live_);
+  const std::span<std::uint64_t> live(
+      scratch_live_.data(), mux_plans_[mux_current_].members.size());
+  (void)context_->read(live);
   MuxGroupState& st = mux_state_[mux_current_];
-  for (std::size_t i = 0; i < scratch_live_.size(); ++i) {
-    st.accum[i] += scratch_live_[i];
-  }
+  for (std::size_t i = 0; i < live.size(); ++i) st.accum[i] += live[i];
   st.active_cycles += now - mux_slice_start_;
 
   // Open the next one.
@@ -654,118 +653,125 @@ void EventSet::rotate_mux() {
   }
 }
 
-inline Status EventSet::read_slice(ComponentSlice& slice,
-                            std::vector<std::uint64_t>& raw_out) {
-  std::span<std::uint64_t> window(raw_out.data() + slice.offset,
-                                  slice.count);
-  // Health breaker + retry wrapper around the substrate read; the
-  // lambda captures by reference, so the hot path stays allocation-free,
-  // and the component entry was resolved at rebuild() so the bracket is
-  // two relaxed loads on one already-hot line.
-  const Status status = library_.run_slice_op(
-      *slice.comp, [&] { return slice.context->read(window); });
-  NativeFold* folds = folds_.data() + slice.offset;
-  if (!status.ok()) {
-    // Partial-failure semantics: serve the last latched good values and
-    // flag them.  read_ex() keeps going; read() propagates the error.
-    const std::uint8_t fail_flags = static_cast<std::uint8_t>(
-        read_flag::kStale | (status.error() == Error::kComponentQuarantined
-                                 ? read_flag::kQuarantined
-                                 : 0));
-    for (std::size_t i = 0; i < slice.count; ++i) {
-      window[i] = folds[i].latched;
-      folds[i].read_flags = folds[i].sticky_flags | fail_flags;
-    }
+inline Status EventSet::read_slices(std::span<std::uint64_t> raw,
+                                   ReadPolicy policy) {
+  // A multiplexed set is a single (CPU) slice whose values are
+  // estimates, read and scaled out of line.
+  if (multiplex_) [[unlikely]] {
+    ComponentSlice& slice = slices_.front();
+    const Status status = read_mux_slice(slice, raw);
+    if (!status.ok()) serve_latched(slice, raw, status.error());
     return status;
   }
-  if (slice.wrap_mask == ~0ULL) {
-    // Full-width counters count up monotonically from the start()/
-    // reset() zero point; a regression is an impossible delta — flag
-    // the native suspect (sticky) and serve the last good value rather
-    // than silently trusting it.  Narrow counters cannot make this
-    // call (a wrap is indistinguishable from a regression).
+  // Ascending component order — the coherent snapshot order every
+  // reader (read/read_ex/accum/stop) shares.
+  Status first = Error::kOk;
+  for (ComponentSlice& slice : slices_) {
+    std::span<std::uint64_t> window(raw.data() + slice.offset, slice.count);
+    // Health breaker + retry wrapper around the substrate read; the
+    // lambda captures by reference, so the hot path stays
+    // allocation-free, and the component entry was resolved at rebuild()
+    // so the bracket is two relaxed loads on one already-hot line.
+    const Status status = library_.run_slice_op(
+        *slice.comp, [&] { return slice.context->read(window); });
+    if (!status.ok()) [[unlikely]] {
+      serve_latched(slice, raw, status.error());
+      if (policy == ReadPolicy::kAllOrNothing) return status;
+      if (first.ok()) first = status;
+      continue;
+    }
+    NativeFold* folds = folds_.data() + slice.offset;
+    if (slice.wrap_mask == ~0ULL) {
+      // Full-width counters count up monotonically from the start()/
+      // reset() zero point; a regression is an impossible delta — flag
+      // the native suspect (sticky) and serve the last good value
+      // rather than silently trusting it.  Narrow counters cannot make
+      // this call (a wrap is indistinguishable from a regression).
+      for (std::size_t i = 0; i < slice.count; ++i) {
+        NativeFold& f = folds[i];
+        const std::uint64_t value = window[i];
+        if (value < f.wrap_last) [[unlikely]] {
+          f.sticky_flags |= read_flag::kSuspect;
+          library_.telemetry().bump(TelemetryCounter::kSanityFaults);
+          window[i] = f.latched;
+        } else {
+          f.wrap_last = value;
+          f.latched = value;
+        }
+        f.read_flags = f.sticky_flags;
+      }
+      continue;
+    }
+    // Narrow counters wrap: trust only the delta since the previous
+    // read, folded modulo the counter width into the 64-bit
+    // accumulator.  Any reader cadence faster than one wrap period
+    // recovers exact totals.
     for (std::size_t i = 0; i < slice.count; ++i) {
       NativeFold& f = folds[i];
-      const std::uint64_t raw = window[i];
-      if (raw < f.wrap_last) [[unlikely]] {
-        f.sticky_flags |= read_flag::kSuspect;
-        library_.telemetry().bump(TelemetryCounter::kSanityFaults);
-        window[i] = f.latched;
-      } else {
-        f.wrap_last = raw;
-        f.latched = raw;
-      }
+      const std::uint64_t value = window[i] & slice.wrap_mask;
+      f.wrap_accum += (value - f.wrap_last) & slice.wrap_mask;
+      f.wrap_last = value;
+      window[i] = f.wrap_accum;
+      f.latched = f.wrap_accum;
       f.read_flags = f.sticky_flags;
     }
-    return Error::kOk;
   }
-  // Narrow counters wrap: trust only the delta since the previous
-  // read, folded modulo the counter width into the 64-bit
-  // accumulator.  Any reader cadence faster than one wrap period
-  // recovers exact totals.
+  return first;
+}
+
+void EventSet::serve_latched(const ComponentSlice& slice,
+                             std::span<std::uint64_t> raw, Error error) {
+  // Partial-failure semantics: serve the last latched good values and
+  // flag them.  Under kPartial the read goes on; kAllOrNothing
+  // propagates the error.
+  const std::uint8_t fail_flags = static_cast<std::uint8_t>(
+      read_flag::kStale |
+      (error == Error::kComponentQuarantined ? read_flag::kQuarantined : 0));
+  NativeFold* folds = folds_.data() + slice.offset;
   for (std::size_t i = 0; i < slice.count; ++i) {
-    NativeFold& f = folds[i];
-    const std::uint64_t raw = window[i] & slice.wrap_mask;
-    f.wrap_accum += (raw - f.wrap_last) & slice.wrap_mask;
-    f.wrap_last = raw;
-    window[i] = f.wrap_accum;
-    f.latched = f.wrap_accum;
-    f.read_flags = f.sticky_flags;
+    raw[slice.offset + i] = folds[i].latched;
+    folds[i].read_flags = folds[i].sticky_flags | fail_flags;
   }
-  return Error::kOk;
 }
 
-Status EventSet::read_folded(std::vector<std::uint64_t>& raw_out) {
-  // Fan out across the component slices in ascending component order —
-  // the coherent snapshot order every reader (read/accum/stop) shares.
-  // All-or-nothing: the first failing slice fails the read (read_ex()
-  // is the partial-failure path).
-  for (ComponentSlice& slice : slices_) {
-    PAPIREPRO_RETURN_IF_ERROR(read_slice(slice, raw_out));
-  }
-  return Error::kOk;
-}
-
-Status EventSet::snapshot_raw(std::vector<std::uint64_t>& raw_out) {
-  raw_out.assign(natives_.size(), 0);
-
-  if (!multiplex_) {
-    return read_folded(raw_out);
-  }
-
-  const std::uint64_t now = context_->cycles();
-  if (running()) {
-    scratch_live_.assign(mux_plans_[mux_current_].members.size(), 0);
-    PAPIREPRO_RETURN_IF_ERROR(library_.run_with_retries(
-        [&] { return context_->read(scratch_live_); }));
-  }
+Status EventSet::read_mux_slice(ComponentSlice& slice,
+                                std::span<std::uint64_t> raw) {
+  // Sequential-slice fallback: reads drive the rotation the timer would
+  // (a no-op in stop(), which has already left the running state).
+  if ((degradations_ & degradation::kMuxSequential) != 0) rotate_mux();
+  // The clock is read before the substrate so the read's own cost is not
+  // billed to the open group's active window.
+  const std::uint64_t now = slice.context->cycles();
+  const std::span<std::uint64_t> live(
+      scratch_live_.data(), mux_plans_[mux_current_].members.size());
+  PAPIREPRO_RETURN_IF_ERROR(library_.run_slice_op(
+      *slice.comp, [&] { return slice.context->read(live); }));
   const std::uint64_t window =
       now > mux_window_start_ ? now - mux_window_start_ : 0;
-
   for (std::size_t g = 0; g < mux_plans_.size(); ++g) {
     const MuxGroupPlan& plan = mux_plans_[g];
     const MuxGroupState& st = mux_state_[g];
+    const bool open = g == mux_current_;  // still counting: add its share
     std::uint64_t active = st.active_cycles;
+    if (open && now > mux_slice_start_) active += now - mux_slice_start_;
     for (std::size_t i = 0; i < plan.members.size(); ++i) {
-      std::uint64_t raw = st.accum[i];
-      if (running() && g == mux_current_) {
-        raw += scratch_live_[i];  // current slice is still open
-      }
-      std::uint64_t active_g = active;
-      if (running() && g == mux_current_ && now > mux_slice_start_) {
-        active_g += now - mux_slice_start_;
-      }
+      const std::uint64_t counted = st.accum[i] + (open ? live[i] : 0);
       // Scale the observed counts up by the fraction of the window this
       // group was actually live — the estimation step whose convergence
       // Section 2 warns about.
-      double scaled = static_cast<double>(raw);
-      if (active_g > 0 && window > 0) {
-        scaled *= static_cast<double>(window) /
-                  static_cast<double>(active_g);
+      double scaled = static_cast<double>(counted);
+      if (active > 0 && window > 0) {
+        scaled *= static_cast<double>(window) / static_cast<double>(active);
       }
-      raw_out[plan.members[i]] =
-          static_cast<std::uint64_t>(std::llround(scaled));
+      raw[plan.members[i]] = static_cast<std::uint64_t>(std::llround(scaled));
     }
+  }
+  // Estimates move either way as the scale-up factors shift, so no fold
+  // and no monotonic guard: latch and go.
+  NativeFold* folds = folds_.data() + slice.offset;
+  for (std::size_t i = 0; i < slice.count; ++i) {
+    folds[i].latched = raw[slice.offset + i];
+    folds[i].read_flags = folds[i].sticky_flags;
   }
   return Error::kOk;
 }
@@ -891,33 +897,19 @@ Status EventSet::read_ex(std::span<long long> out,
   if (!running() && !stopped_raw_valid_) return Error::kNotRunning;
   TelemetryRegistry& telemetry = library_.telemetry();
   telemetry.bump(TelemetryCounter::kReads);
-  if (!running() && stopped_raw_valid_) {
-    compute_values(stopped_raw_, out);
+  if (!running()) {
     // The stop() snapshot's fidelity was persisted into the sticky
-    // flags; surface those.
-    for (NativeFold& f : folds_) f.read_flags = f.sticky_flags;
+    // flags, which stop() left in read_flags too.
+    compute_values(stopped_raw_, out);
     compute_flags(flags);
     return Error::kOk;
   }
-  if (multiplex_) {
-    // Estimation is single-component (CPU) — no partial-failure story;
-    // plain read semantics with pass-through flags.
-    if ((degradations_ & degradation::kMuxSequential) != 0) rotate_mux();
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(scratch_raw_));
-    telemetry.bump_component(0, ComponentCounter::kReads);
-    compute_values(scratch_raw_, out);
-    for (NativeFold& f : folds_) f.read_flags = f.sticky_flags;
-    compute_flags(flags);
-    publish_values(out, kPubRunning);
-    return Error::kOk;
-  }
-  // The partial-failure fan-out: every slice is attempted; a failing
-  // slice serves latched values (read_slice fills flags + window), and
-  // the read as a whole still succeeds.  read_slice overwrites every
-  // native in its window, so no zero-fill is needed first.
-  for (ComponentSlice& slice : slices_) {
-    const Status s = read_slice(slice, scratch_raw_);
-    if (s.ok()) {
+  // Every slice is attempted; a failing one serves latched values, and
+  // the read as a whole still succeeds (flags tell the fidelity story).
+  (void)read_slices(scratch_raw_, ReadPolicy::kPartial);
+  for (const ComponentSlice& slice : slices_) {
+    // A slice that failed this read flagged all its natives kStale.
+    if ((folds_[slice.offset].read_flags & read_flag::kStale) == 0) {
       telemetry.bump_component(slice.component, ComponentCounter::kReads);
     }
   }
@@ -930,52 +922,41 @@ Status EventSet::read_ex(std::span<long long> out,
 Status EventSet::read(std::span<long long> out) {
   if (out.size() < entries_.size()) return Error::kInvalid;
   TelemetryRegistry& telemetry = library_.telemetry();
-  if (!running()) {
+  if (!running()) [[unlikely]] {
     if (!stopped_raw_valid_) return Error::kNotRunning;
     telemetry.bump(TelemetryCounter::kReads);
     compute_values(stopped_raw_, out);
     return Error::kOk;
   }
-  if (multiplex_ || telemetry.tracing()) [[unlikely]] {
-    telemetry.bump(TelemetryCounter::kReads);
-    if (multiplex_ && (degradations_ & degradation::kMuxSequential) != 0) {
-      rotate_mux();  // sequential-slice fallback: reads drive rotation
-    }
-    const bool tracing = telemetry.tracing();
-    const std::uint64_t ts = tracing ? context_->cycles() : 0;
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(scratch_raw_));
-    for (const ComponentSlice& slice : slices_) {
-      telemetry.bump_component(slice.component, ComponentCounter::kReads);
-    }
-    compute_values(scratch_raw_, out);
-    publish_values(out, kPubRunning);
-    if (tracing) {
-      const std::uint64_t after = context_->cycles();
-      telemetry.trace(TraceEventKind::kRead, ts,
-                      after > ts ? after - ts : 0,
-                      static_cast<std::uint64_t>(handle_));
-    }
-    return Error::kOk;
-  }
-  // Non-mux, non-tracing steady state — the sub-10 ns target path.
-  // read_slice overwrites every native in its window (slices partition
-  // natives_), so the old pre-read zero-fill is skipped, and telemetry
-  // folds into one fused bump after success instead of separate
-  // library-wide and per-component touches.
-  for (ComponentSlice& slice : slices_) {
-    const Status s = read_slice(slice, scratch_raw_);
-    if (!s.ok()) {
+  // The pipeline and its telemetry, inlined at both call sites below so
+  // an untraced read keeps no tracing state live across the substrate
+  // call (holding it there cost the direct read about 0.7 ns).
+  const auto read_running = [&]() __attribute__((always_inline)) {
+    const Status s = read_slices(scratch_raw_, ReadPolicy::kAllOrNothing);
+    if (!s.ok()) [[unlikely]] {
       telemetry.bump(TelemetryCounter::kReads);  // attempts still count
       return s;
     }
+    compute_values(scratch_raw_, out);
+    publish_values(out, kPubRunning);
+    // One fused library-wide + primary-component bump, then the rest.
+    telemetry.bump_read(slices_.front().component);
+    for (std::size_t i = 1; i < slices_.size(); ++i) {
+      telemetry.bump_component(slices_[i].component,
+                               ComponentCounter::kReads);
+    }
+    return s;
+  };
+  if (!telemetry.tracing()) [[likely]] return read_running();
+  // Tracing is two clock reads around the same pipeline.
+  const std::uint64_t ts = context_->cycles();
+  const Status s = read_running();
+  if (s.ok()) {
+    const std::uint64_t after = context_->cycles();
+    telemetry.trace(TraceEventKind::kRead, ts, after > ts ? after - ts : 0,
+                    static_cast<std::uint64_t>(handle_));
   }
-  compute_values(scratch_raw_, out);
-  publish_values(out, kPubRunning);
-  telemetry.bump_read(slices_.front().component);
-  for (std::size_t i = 1; i < slices_.size(); ++i) {
-    telemetry.bump_component(slices_[i].component, ComponentCounter::kReads);
-  }
-  return Error::kOk;
+  return s;
 }
 
 Status EventSet::read_many(std::span<EventSet* const> sets,
@@ -1044,62 +1025,44 @@ Status EventSet::reset() {
 
 Status EventSet::stop(std::span<long long> out) {
   if (!running()) return Error::kNotRunning;
+  // Validate before any side effect: an undersized `out` must leave the
+  // set running, not stopped with its finals undeliverable.
+  if (!out.empty() && out.size() < entries_.size()) return Error::kInvalid;
 
   // First per-slice failure, reported after the teardown completes: a
   // sick component must not abort the unwind mid-way (the other slices'
   // counters would keep running and the context would never release).
   Status partial = Error::kOk;
 
-  if (multiplex_) {
-    // Close the final slice before the counters go away.  As in
-    // rotate_mux(), the clock is snapshotted before the stop/read
-    // overhead so it is not billed to the closing slice.
-    const std::uint64_t now = context_->cycles();
-    (void)context_->stop();
-    scratch_live_.assign(mux_plans_[mux_current_].members.size(), 0);
-    PAPIREPRO_RETURN_IF_ERROR(library_.run_with_retries(
-        [&] { return context_->read(scratch_live_); }));
-    MuxGroupState& st = mux_state_[mux_current_];
-    for (std::size_t i = 0; i < scratch_live_.size(); ++i) {
-      st.accum[i] += scratch_live_[i];
-    }
-    st.active_cycles += now - mux_slice_start_;
-    if (mux_timer_id_ >= 0) {
-      (void)context_->cancel_timer(mux_timer_id_);
-      mux_timer_id_ = -1;
-    }
-    state_ = State::kStopped;
-  } else {
-    // Stop descending by component — the mirror image of start()'s
-    // ascending order, so the snapshot window nests coherently.  Every
-    // slice is attempted (through its breaker): a quarantined or
-    // failing component records the first error but cannot leave the
-    // healthy slices counting.
-    for (std::size_t i = slices_.size(); i-- > 0;) {
-      ComponentSlice& slice = slices_[i];
-      const Status s = library_.run_slice_op(
-          slice.component, [&] { return slice.context->stop(); });
-      if (!s.ok() && partial.ok()) partial = s;
-    }
-    state_ = State::kStopped;
+  // Stop descending by component — the mirror image of start()'s
+  // ascending order, so the snapshot window nests coherently.  Every
+  // slice's counters are stopped whatever its breaker says: a teardown
+  // refused by an open breaker would hand the thread's context back
+  // with its counters running.  The outcome still feeds the breaker,
+  // and a failing component records the first error but cannot leave
+  // the healthy slices counting.
+  for (std::size_t i = slices_.size(); i-- > 0;) {
+    ComponentSlice& slice = slices_[i];
+    const Status s =
+        library_.run_with_retries([&] { return slice.context->stop(); });
+    slice.comp->health.record(s.error());
+    if (!s.ok() && partial.ok()) partial = s;
   }
-  // Snapshot straight into the preallocated stop buffer: stop() is part
-  // of the steady-state path and performs no heap allocation.
-  if (multiplex_) {
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(stopped_raw_));
-  } else {
-    // Resilient final snapshot: a failing slice latches its last good
-    // values instead of losing the healthy slices' finals; the
-    // snapshot's fidelity bits persist so read_ex() after stop()
-    // reports it.
-    stopped_raw_.assign(natives_.size(), 0);
-    for (ComponentSlice& slice : slices_) {
-      const Status s = read_slice(slice, stopped_raw_);
-      if (!s.ok() && partial.ok()) partial = s;
-    }
-    for (NativeFold& f : folds_) f.sticky_flags = f.read_flags;
-  }
+  state_ = State::kStopped;
 
+  // Final snapshot through the read pipeline, straight into the
+  // preallocated stop buffer (no heap allocation): a failing slice
+  // latches its last good values (a multiplexed set its last estimate)
+  // instead of losing the healthy slices' finals, and the snapshot's
+  // fidelity bits persist so read_ex() after stop() reports them.
+  const Status final_read = read_slices(stopped_raw_, ReadPolicy::kPartial);
+  if (partial.ok()) partial = final_read;
+  for (NativeFold& f : folds_) f.sticky_flags = f.read_flags;
+
+  if (mux_timer_id_ >= 0) {
+    (void)context_->cancel_timer(mux_timer_id_);
+    mux_timer_id_ = -1;
+  }
   // Disarm before the context goes back to the library: the substrate
   // keeps callbacks armed until told otherwise, and the next user of
   // this thread's context must not inherit them.  In async mode this
@@ -1133,10 +1096,7 @@ Status EventSet::stop(std::span<long long> out) {
   library_.release_context(this);
   context_ = nullptr;
   for (ComponentSlice& slice : slices_) slice.context = nullptr;
-  if (!out.empty()) {
-    if (out.size() < entries_.size()) return Error::kInvalid;
-    compute_values(stopped_raw_, out);
-  }
+  if (!out.empty()) compute_values(stopped_raw_, out);
   return partial;
 }
 

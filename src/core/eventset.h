@@ -287,17 +287,22 @@ class EventSet {
   /// Runs one overflow's heavy half: histogram update or user handler.
   void dispatch_overflow(const OverflowConfig& config,
                          const SubstrateOverflow& overflow);
-  /// Non-mux raw read with bounded retry and wraparound folding: deltas
-  /// between successive reads are taken modulo the substrate counter
-  /// width and accumulated into 64-bit totals.
-  Status read_folded(std::vector<std::uint64_t>& raw_out);
-  /// Reads one component slice's share of `raw_out` through the health
-  /// breaker + retry wrapper, applies wraparound folding / monotonic
-  /// sanity guards, latches good values, and records per-native
-  /// read_flag bits in scratch_flags_.  On failure the slice's window
-  /// is filled from the latched values (flags mark it stale).
-  [[gnu::always_inline]] Status read_slice(
-      ComponentSlice& slice, std::vector<std::uint64_t>& raw_out);
+  /// read_slices() on a failing slice: kAllOrNothing (read()) stops with
+  /// its error; kPartial (read_ex(), stop()) reads on, returns the first.
+  enum class ReadPolicy : std::uint8_t { kAllOrNothing, kPartial };
+  /// The one read pipeline: every slice of a running set, in ascending
+  /// component order, through its health bracket into `raw` (one value
+  /// per native), with wraparound folding, monotonic guards, latching
+  /// and per-native read flags; a failing slice is serve_latched().
+  [[gnu::always_inline]] Status read_slices(std::span<std::uint64_t> raw,
+                                            ReadPolicy policy);
+  /// A mux set's one slice: rotates first in the sequential fallback,
+  /// reads the open group through the bracket, scales every group.
+  Status read_mux_slice(ComponentSlice& slice, std::span<std::uint64_t> raw);
+  /// Fills a failed slice's window of `raw` from its latched values,
+  /// flagged kStale (| kQuarantined when `error` is the breaker's).
+  void serve_latched(const ComponentSlice& slice,
+                     std::span<std::uint64_t> raw, Error error);
   /// Folds the per-native read flags into per-event flags: each event's
   /// flags are the OR over its term natives.
   void compute_flags(std::span<std::uint32_t> flags) const;
@@ -313,7 +318,6 @@ class EventSet {
   void publish_clear() noexcept;
   Status program_mux_group(std::size_t g);
   void rotate_mux();
-  Status snapshot_raw(std::vector<std::uint64_t>& raw_out);
   [[gnu::always_inline]] void compute_values(
       std::span<const std::uint64_t> raw, std::span<long long> out) const;
   int find_entry(EventId id) const;

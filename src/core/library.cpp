@@ -546,44 +546,62 @@ EventSet* Library::current_running() const noexcept {
   return nullptr;
 }
 
-std::size_t Library::batch_num_values(EventSet& set,
-                                      bool live) const noexcept {
-  if (live) return set.entries_.size();
-  return set.published_.num_events.load(std::memory_order_acquire);
-}
-
-Status Library::batch_fill(EventSet& set, bool live,
-                           std::span<long long> out, SnapshotEntry& e) {
-  e.status = Error::kOk;
-  e.flags = 0;
-  e.num_values = 0;
-  e.pub_cycles = 0;
-  if (live) {
-    const std::size_t n = set.entries_.size();
-    if (out.size() < n) return Error::kInvalid;
-    const Status s = set.read(out.first(n));
+template <typename ForEachSet>
+Status Library::walk_batch(EventSet* my_running, ForEachSet&& for_each_set,
+                           std::span<long long> values,
+                           std::span<SnapshotEntry> entries,
+                           std::size_t* entries_used,
+                           std::size_t* values_used) {
+  std::size_t n = 0;
+  std::size_t used = 0;
+  PAPIREPRO_RETURN_IF_ERROR(for_each_set([&](int handle,
+                                             EventSet* set) -> Status {
+    if (n == entries.size()) return Error::kInvalid;
+    SnapshotEntry& e = entries[n++];
+    e = SnapshotEntry{.handle = handle,
+                      .first_value = static_cast<std::uint32_t>(used)};
+    if (set == nullptr) {
+      e.status = Error::kNoEventSet;  // per-entry, not a batch failure
+      return Error::kOk;
+    }
+    const std::span<long long> out = values.subspan(used);
+    if (set != my_running) {
+      // Any other set: a seqlock copy of its publication.
+      if (set->published_.num_events.load(std::memory_order_acquire) >
+          out.size()) {
+        return Error::kInvalid;  // caller's values buffer is too small
+      }
+      set->read_published_into(out, e);
+      used += e.num_values;
+      return Error::kOk;
+    }
+    // The caller's own running set: a full live read.
+    const std::size_t live_values = set->entries_.size();
+    if (live_values > out.size()) return Error::kInvalid;
+    const Status s = set->read(out.first(live_values));
     if (s.ok()) {
-      e.num_values = static_cast<std::uint32_t>(n);
-      e.flags = set.folded_read_flags();
+      e.num_values = static_cast<std::uint32_t>(live_values);
+      e.flags = set->folded_read_flags();
       // The live read just republished: its stamp is the read time.
       e.pub_cycles =
-          set.published_.pub_cycles.load(std::memory_order_relaxed);
-      return Error::kOk;
-    }
-    if (s.error() == Error::kNotRunning) {
+          set->published_.pub_cycles.load(std::memory_order_relaxed);
+    } else if (s.error() == Error::kNotRunning) {
       e.status = s.error();
-      return Error::kOk;
+    } else {
+      // The live read failed (quarantine, substrate fault): serve the
+      // last publication and mark the provenance instead of failing the
+      // batch.
+      set->read_published_into(out, e);
+      e.flags |= read_flag::kStale;
+      if (s.error() == Error::kComponentQuarantined) {
+        e.flags |= read_flag::kQuarantined;
+      }
     }
-    // The live read failed (quarantine, substrate fault): serve the last
-    // publication and mark the provenance instead of failing the batch.
-    set.read_published_into(out, e);
-    e.flags |= read_flag::kStale;
-    if (s.error() == Error::kComponentQuarantined) {
-      e.flags |= read_flag::kQuarantined;
-    }
+    used += e.num_values;
     return Error::kOk;
-  }
-  set.read_published_into(out, e);
+  }));
+  if (entries_used != nullptr) *entries_used = n;
+  if (values_used != nullptr) *values_used = used;
   return Error::kOk;
 }
 
@@ -593,25 +611,17 @@ Status Library::read_many(std::span<EventSet* const> sets,
                           std::size_t* values_used) {
   if (values_used != nullptr) *values_used = 0;
   if (entries.size() < sets.size()) return Error::kInvalid;
-  // Resolve the calling thread's context once for the whole batch.
-  EventSet* const my_running = current_running();
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    EventSet* set = sets[i];
-    if (set == nullptr) return Error::kInvalid;
-    SnapshotEntry& e = entries[i];
-    e.handle = set->handle();
-    e.first_value = static_cast<std::uint32_t>(used);
-    const bool live = set == my_running;
-    if (used + batch_num_values(*set, live) > values.size()) {
-      return Error::kInvalid;  // caller's values buffer is too small
-    }
-    PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*set, live, values.subspan(used), e));
-    used += e.num_values;
-  }
-  if (values_used != nullptr) *values_used = used;
-  return Error::kOk;
+  // The caller owns the sets' lifetimes: no registration, no epoch pin.
+  return walk_batch(
+      current_running(),
+      [&](auto&& visit) -> Status {
+        for (EventSet* set : sets) {
+          if (set == nullptr) return Error::kInvalid;
+          PAPIREPRO_RETURN_IF_ERROR(visit(set->handle(), set));
+        }
+        return Error::kOk;
+      },
+      values, entries, nullptr, values_used);
 }
 
 Status Library::read_many_handles(std::span<const int> handles,
@@ -622,35 +632,19 @@ Status Library::read_many_handles(std::span<const int> handles,
   if (entries.size() < handles.size()) return Error::kInvalid;
   auto state = current_thread_state();
   if (!state.ok()) return state.error();
-  EventSet* const my_running =
-      state.value()->running.load(std::memory_order_acquire);
   // Handle resolution happens inside the pin: a concurrent destroy of
   // any of these sets parks the storage in the graveyard until we drop
   // the pin, so the pointers stay valid for the whole batch.
   const EpochPin pin(*this, *state.value());
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    SnapshotEntry& e = entries[i];
-    e.handle = handles[i];
-    e.first_value = static_cast<std::uint32_t>(used);
-    e.num_values = 0;
-    e.flags = 0;
-    e.pub_cycles = 0;
-    EventSet* set = find_set(handles[i]);
-    if (set == nullptr) {
-      e.status = Error::kNoEventSet;  // per-entry, not a batch failure
-      continue;
-    }
-    const bool live = set == my_running;
-    if (used + batch_num_values(*set, live) > values.size()) {
-      return Error::kInvalid;  // caller's values buffer is too small
-    }
-    PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*set, live, values.subspan(used), e));
-    used += e.num_values;
-  }
-  if (values_used != nullptr) *values_used = used;
-  return Error::kOk;
+  return walk_batch(
+      state.value()->running.load(std::memory_order_acquire),
+      [&](auto&& visit) -> Status {
+        for (const int handle : handles) {
+          PAPIREPRO_RETURN_IF_ERROR(visit(handle, find_set(handle)));
+        }
+        return Error::kOk;
+      },
+      values, entries, nullptr, values_used);
 }
 
 Status Library::snapshot_all(std::vector<SnapshotEntry>& entries,
@@ -693,35 +687,23 @@ Status Library::snapshot_all(std::span<SnapshotEntry> entries,
   if (values_used != nullptr) *values_used = 0;
   auto state = current_thread_state();
   if (!state.ok()) return state.error();
-  EventSet* const my_running =
-      state.value()->running.load(std::memory_order_acquire);
   const EpochPin pin(*this, *state.value());
-  std::size_t n_entries = 0;
-  std::size_t used = 0;
-  for (std::size_t chunk_idx = 0; chunk_idx < kMaxSetChunks; ++chunk_idx) {
-    std::atomic<EventSet*>* chunk =
-        set_chunks_[chunk_idx].load(std::memory_order_acquire);
-    if (chunk == nullptr) break;
-    for (std::size_t s = 0; s < kSetChunkSlots; ++s) {
-      EventSet* set = chunk[s].load(std::memory_order_seq_cst);
-      if (set == nullptr) continue;
-      if (n_entries == entries.size()) return Error::kInvalid;
-      SnapshotEntry& e = entries[n_entries];
-      e.handle = set->handle();
-      e.first_value = static_cast<std::uint32_t>(used);
-      const bool live = set == my_running;
-      if (used + batch_num_values(*set, live) > values.size()) {
-        return Error::kInvalid;  // caller's values buffer is too small
-      }
-      PAPIREPRO_RETURN_IF_ERROR(
-          batch_fill(*set, live, values.subspan(used), e));
-      used += e.num_values;
-      ++n_entries;
-    }
-  }
-  if (entries_used != nullptr) *entries_used = n_entries;
-  if (values_used != nullptr) *values_used = used;
-  return Error::kOk;
+  return walk_batch(
+      state.value()->running.load(std::memory_order_acquire),
+      [&](auto&& visit) -> Status {
+        for (const auto& chunk_slot : set_chunks_) {
+          std::atomic<EventSet*>* chunk =
+              chunk_slot.load(std::memory_order_acquire);
+          if (chunk == nullptr) break;
+          for (std::size_t s = 0; s < kSetChunkSlots; ++s) {
+            EventSet* set = chunk[s].load(std::memory_order_seq_cst);
+            if (set == nullptr) continue;
+            PAPIREPRO_RETURN_IF_ERROR(visit(set->handle(), set));
+          }
+        }
+        return Error::kOk;
+      },
+      values, entries, entries_used, values_used);
 }
 
 }  // namespace papirepro::papi

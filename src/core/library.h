@@ -354,15 +354,15 @@ class Library {
   /// Frees every graveyard entry no active reader pin can still reach.
   /// Caller holds sets_mutex_.
   void reclaim_retired_locked();
-  /// Number of values `set` will produce in a batch (live event count or
-  /// the published header's count).
-  std::size_t batch_num_values(EventSet& set, bool live) const noexcept;
-  /// Fills one batch entry: live read for the caller's running set (with
-  /// publication fallback on failure), seqlock publication copy for
-  /// everything else.  Writes e.num_values values into `out`; kInvalid
-  /// only when `out` cannot hold a live read.
-  Status batch_fill(EventSet& set, bool live, std::span<long long> out,
-                    SnapshotEntry& e);
+  /// The one batch loop (read_many, read_many_handles, snapshot_all):
+  /// `for_each_set(visit)` calls visit(handle, set) per slot, in order,
+  /// and returns the first error a visit does.  `my_running` is read
+  /// live (publication fallback), every other set from its publication.
+  template <typename ForEachSet>
+  Status walk_batch(EventSet* my_running, ForEachSet&& for_each_set,
+                    std::span<long long> values,
+                    std::span<SnapshotEntry> entries,
+                    std::size_t* entries_used, std::size_t* values_used);
   /// The calling thread's currently running set, resolved through the
   /// thread-local cache (no registry lock), or nullptr.
   EventSet* current_running() const noexcept;

@@ -101,6 +101,16 @@ TEST_F(CapiSim, HighLevelStartStop) {
   EXPECT_EQ(values[1], 20'000);
 }
 
+TEST_F(CapiSim, UndersizedStopCountersIsInvalAndRecoverable) {
+  int events[2] = {PAPI_TOT_CYC, PAPI_LD_INS};
+  ASSERT_EQ(PAPI_start_counters(events, 2), PAPI_OK);
+  PAPIrepro_sim_run(sim_, -1);
+  long long values[2] = {};
+  EXPECT_EQ(PAPI_stop_counters(values, 1), PAPI_EINVAL);
+  ASSERT_EQ(PAPI_stop_counters(values, 2), PAPI_OK);
+  EXPECT_EQ(values[1], 20'000);
+}
+
 TEST_F(CapiSim, Multiplex) {
   int es = PAPI_NULL;
   ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);

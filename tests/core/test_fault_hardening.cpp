@@ -303,6 +303,55 @@ TEST(FaultHardening, MuxSurvivesDroppedTimerSlices) {
   EXPECT_NEAR(static_cast<double>(v[4]), n, 0.15 * n);  // BR
 }
 
+// A multiplexed stop() whose final read fails still tears the run down,
+// exactly like a direct set: the error surfaces, but the set is stopped
+// with its last estimate latched, and the thread's running slot is free
+// for the next set.
+TEST(FaultHardening, MuxStopReadFailureStillTearsDown) {
+  FaultPlan plan;
+  // Three reads pass, then one read op's whole retry budget (3
+  // attempts) fails: the stop()'s final snapshot.
+  plan.at(FaultSite::kRead) = {.fail_times = 3,
+                               .error = Error::kSystem,
+                               .fail_after = 3};
+  FaultFixture f(sim::make_saxpy(20'000), pmu::sim_x86(), plan,
+                 {.charge_costs = false});
+  EventSet& mux = f.new_set();
+  // A slice that never rotates here: every substrate read is the set's.
+  ASSERT_TRUE(mux.enable_multiplex(/*slice_cycles=*/1ULL << 40).ok());
+  for (const char* name : {"PAPI_FMA_INS", "PAPI_LD_INS", "PAPI_SR_INS",
+                           "PAPI_TOT_INS", "PAPI_BR_INS", "PAPI_L1_DCA"}) {
+    ASSERT_TRUE(mux.add_named(name).ok()) << name;
+  }
+  ASSERT_TRUE(mux.start().ok());
+  f.machine->run(10'000);
+  std::vector<long long> v(mux.num_events());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(mux.read(v).ok());
+  const std::vector<long long> last_good = v;
+
+  EXPECT_EQ(mux.stop(v).error(), Error::kSystem);
+  EXPECT_EQ(f.fault->injected_count(FaultSite::kRead), 3u);
+  EXPECT_FALSE(mux.running());
+  EXPECT_EQ(v, last_good);  // the finals are the last good estimate...
+  std::vector<std::uint32_t> flags(mux.num_events());
+  ASSERT_TRUE(mux.read_ex(v, flags).ok());
+  EXPECT_EQ(v, last_good);
+  for (const std::uint32_t flag : flags) {
+    EXPECT_NE(flag & read_flag::kStale, 0u);  // ...flagged stale
+  }
+  EXPECT_EQ(mux.stop().error(), Error::kNotRunning);
+
+  // The slot was released: another set starts and stops on this thread.
+  EventSet& next = f.new_set();
+  ASSERT_TRUE(next.add_named("PAPI_TOT_INS").ok());
+  ASSERT_TRUE(next.start().ok());
+  const std::uint64_t before = f.machine->retired();
+  f.machine->run();
+  std::vector<long long> w(1);
+  ASSERT_TRUE(next.stop(w).ok());
+  EXPECT_EQ(static_cast<std::uint64_t>(w[0]), f.machine->retired() - before);
+}
+
 // Acceptance: all of it is deterministic — the same plan seed produces
 // bit-identical counts and injection traces across independent runs.
 TEST(FaultHardening, FaultyRunsDeterministicPerSeed) {

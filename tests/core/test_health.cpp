@@ -272,6 +272,93 @@ TEST(HealthFailFast, QuarantinedComponentSkipsRetriesAndBackoff) {
   EXPECT_EQ(h.last_error, Error::kConflict);
 }
 
+// A multiplexed set reads through the same breaker as a direct one: the
+// same hard-down read fault trips it after the same number of reads,
+// after which reads fail fast without touching the substrate, and
+// read_ex() serves the last good values (for mux, the last estimate)
+// flagged kStale, then kStale|kQuarantined once the breaker is open.
+TEST(HealthFailFast, MultiplexedSetTripsAndFailsFastLikeDirect) {
+  for (const bool mux : {false, true}) {
+    SCOPED_TRACE(mux ? "multiplexed" : "direct");
+    FaultPlan plan;
+    plan.at(FaultSite::kRead) = {.fail_times = 1 << 20,  // hard down...
+                                 .error = Error::kSystem,
+                                 .fail_after = 1};  // ...after one read
+    FaultFixture f(sim::make_saxpy(8'000), pmu::sim_x86(), plan,
+                   {.charge_costs = false});
+    HealthPolicy p;
+    p.probe_cooldown_usec = 1;  // sim clock: frozen unless the machine runs
+    p.probe_cooldown_max_usec = 1;
+    p.probation_successes = 1;
+    ASSERT_TRUE(f.library->set_health_policy(p).ok());
+    ASSERT_EQ(p.max_consecutive_exhaustions, 3u);
+
+    EventSet& set = f.new_set();
+    if (mux) {
+      // One slice that never rotates: every substrate read is the set's.
+      ASSERT_TRUE(set.enable_multiplex(/*slice_cycles=*/1ULL << 40).ok());
+      for (const char* name : {"PAPI_FMA_INS", "PAPI_LD_INS", "PAPI_SR_INS",
+                               "PAPI_TOT_INS", "PAPI_BR_INS"}) {
+        ASSERT_TRUE(set.add_named(name).ok()) << name;
+      }
+    } else {
+      ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+      ASSERT_TRUE(set.add_preset(Preset::kFmaIns).ok());
+    }
+    ASSERT_TRUE(set.start().ok());
+    f.machine->run(2'000);
+    const std::size_t n = set.num_events();
+    std::vector<long long> good(n);
+    ASSERT_TRUE(set.read(good).ok());
+
+    // Two retry-exhausted reads, then a third through read_ex(): it
+    // still succeeds, serving the latched values flagged stale — and it
+    // trips the breaker.
+    std::vector<long long> v(n);
+    std::vector<std::uint32_t> flags(n);
+    EXPECT_EQ(set.read(v).error(), Error::kSystem);
+    EXPECT_EQ(set.read(v).error(), Error::kSystem);
+    ASSERT_TRUE(set.read_ex(v, flags).ok());
+    EXPECT_EQ(v, good);
+    EXPECT_EQ(flags, std::vector<std::uint32_t>(n, read_flag::kStale));
+    ASSERT_EQ(f.library->component_health(0).value().state,
+              HealthState::kQuarantined);
+
+    // Fail fast: no substrate call, no retry, no backoff.
+    const std::uint64_t calls = f.fault->call_count(FaultSite::kRead);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(set.read(v).error(), Error::kComponentQuarantined);
+    }
+    ASSERT_TRUE(set.read_ex(v, flags).ok());
+    EXPECT_EQ(v, good);
+    EXPECT_EQ(flags, std::vector<std::uint32_t>(
+                         n, read_flag::kStale | read_flag::kQuarantined));
+    EXPECT_EQ(f.fault->call_count(FaultSite::kRead), calls);
+    EXPECT_EQ(f.library->component_health(0).value().fail_fasts, 5u);
+
+    // stop() reports the quarantine but still tears the run down: the
+    // open breaker refuses the final read, not the counter stop.
+    EXPECT_EQ(set.stop().error(), Error::kComponentQuarantined);
+    EXPECT_FALSE(set.running());
+
+    // Let the breaker close: the substrate recovers and simulated time
+    // passes the cool-down.  The thread's context came back stopped, so
+    // another set starts on it, and its first read is the probe.
+    f.fault->set_plan(FaultPlan{});
+    f.machine->run(2'000);
+    EventSet& next = f.new_set();
+    ASSERT_TRUE(next.add_preset(Preset::kTotIns).ok());
+    ASSERT_TRUE(next.start().ok());
+    f.machine->run(2'000);
+    std::vector<long long> tot(1);
+    ASSERT_TRUE(next.read(tot).ok());
+    EXPECT_GT(tot[0], 0);
+    EXPECT_EQ(f.library->component_health(0).value().state,
+              HealthState::kHealthy);
+    ASSERT_TRUE(next.stop(tot).ok());
+  }
+}
+
 // ---- spanning sets: partial-failure reads and end-to-end recovery -------
 
 /// SimFixture plus a mem component whose substrate is wrapped in the

@@ -50,6 +50,27 @@ TEST(HighLevel, AccumCounters) {
   EXPECT_EQ(acc[0] + fin[0], 100 + 5'000);
 }
 
+// An undersized stop_counters() is rejected before anything stops: the
+// counters keep running, and a full-size stop then delivers the totals
+// and frees the high-level API for the next start.
+TEST(HighLevel, UndersizedStopLeavesCountersRunning) {
+  SimFixture f(sim::make_saxpy(5'000), pmu::sim_x86(),
+               {.charge_costs = false});
+  HighLevel hl(*f.library);
+  const EventId events[] = {EventId::preset(Preset::kFmaIns),
+                            EventId::preset(Preset::kTotIns)};
+  ASSERT_TRUE(hl.start_counters(events).ok());
+  f.machine->run();
+  long long one[1] = {};
+  EXPECT_EQ(hl.stop_counters(one).error(), Error::kInvalid);
+  EXPECT_EQ(hl.start_counters(events).error(), Error::kIsRunning);
+  long long fin[2] = {};
+  ASSERT_TRUE(hl.stop_counters(fin).ok());
+  EXPECT_EQ(fin[0], 5'000);
+  ASSERT_TRUE(hl.start_counters(events).ok());
+  ASSERT_TRUE(hl.stop_counters(fin).ok());
+}
+
 TEST(HighLevel, StartTwiceRejected) {
   SimFixture f(sim::make_saxpy(100), pmu::sim_x86());
   HighLevel hl(*f.library);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +19,8 @@
 #include "core/eventset.h"
 #include "core/library.h"
 #include "core/telemetry.h"
+#include "sim/comm.h"
+#include "substrate/component_substrates.h"
 #include "test_util.h"
 
 namespace papirepro::papi {
@@ -383,6 +386,160 @@ TEST(TelemetryTrace, SetTraceValidatesCapacity) {
   EXPECT_EQ(registry.snapshot().value(TelemetryCounter::kTraceRecords), 1u);
   const std::string csv = registry.dump_trace(TraceFormat::kCsv);
   EXPECT_EQ(count_lines(csv), 2u);  // header + the one surviving record
+}
+
+// ---- tracing on vs off: one read path --------------------------------
+
+/// Drives `set` through a fixed start / read / read_ex / accum / stop
+/// script with tracing on or off and returns everything a caller can
+/// observe, in order: each call's status, values and flags, the set's
+/// publication as another thread's batched read sees it, and the read
+/// telemetry.  Trace records are the one thing allowed to differ.
+std::vector<long long> read_transcript(Library& library,
+                                       sim::Machine& machine, EventSet& set,
+                                       std::uint64_t step, bool tracing) {
+  EXPECT_TRUE(library.set_trace(tracing).ok());
+  const std::size_t n = set.num_events();
+  std::vector<long long> t;
+  std::vector<long long> v(n);
+  std::vector<long long> acc(n, 0);
+  std::vector<std::uint32_t> flags(n);
+  const auto record = [&](Status status, std::span<const long long> values) {
+    t.push_back(static_cast<long long>(status.error()));
+    t.insert(t.end(), values.begin(), values.end());
+  };
+  const auto record_ex = [&] {
+    record(set.read_ex(v, flags), v);
+    t.insert(t.end(), flags.begin(), flags.end());
+  };
+  const auto record_published = [&] {
+    std::vector<long long> values(n, -1);
+    SnapshotEntry e;
+    Status status;
+    // Off the owning thread a running set is served from its
+    // publication, never read live.
+    std::thread reader([&] {
+      EventSet* sets[1] = {&set};
+      status = library.read_many(sets, values, {&e, 1});
+    });
+    reader.join();
+    record(status, values);
+    t.insert(t.end(), {static_cast<long long>(e.status), e.num_values,
+                       e.flags, static_cast<long long>(e.pub_cycles)});
+  };
+
+  EXPECT_TRUE(set.start().ok());
+  record_published();
+  for (int i = 0; i < 8; ++i) {
+    machine.run(step);
+    record(set.read(v), v);
+    record_ex();
+    // Every other step, so narrow counters wrap between resets.
+    if (i % 2 == 1) record(set.accum(acc), acc);
+    record_published();
+  }
+  machine.run(step);
+  record(set.stop(v), v);
+  record_published();
+  record(set.read(v), v);
+  record_ex();
+
+  const TelemetrySnapshot snap = library.telemetry_snapshot();
+  t.push_back(static_cast<long long>(snap.value(TelemetryCounter::kReads)));
+  t.push_back(static_cast<long long>(snap.value(TelemetryCounter::kAccums)));
+  for (std::size_t c = 0; c < library.num_components(); ++c) {
+    t.push_back(static_cast<long long>(
+        snap.component_value(c, ComponentCounter::kReads)));
+  }
+  EXPECT_EQ(snap.value(TelemetryCounter::kTraceRecords) > 0, tracing);
+  return t;
+}
+
+constexpr const char* kMuxEvents[] = {"PAPI_FMA_INS", "PAPI_LD_INS",
+                                      "PAPI_SR_INS",  "PAPI_TOT_INS",
+                                      "PAPI_BR_INS",  "PAPI_L1_DCA"};
+
+struct TracingParityCase {
+  const char* name;
+  std::function<std::vector<long long>(bool tracing)> run;
+};
+
+std::vector<TracingParityCase> tracing_parity_cases() {
+  return {
+      {"direct",
+       [](bool tracing) {
+         SimFixture f(sim::make_saxpy(20'000), pmu::sim_x86());
+         EventSet& set = f.new_set();
+         EXPECT_TRUE(set.add_named("PAPI_TOT_INS").ok());
+         EXPECT_TRUE(set.add_named("PAPI_TOT_CYC").ok());
+         EXPECT_TRUE(set.add_named("PAPI_FP_OPS").ok());
+         return read_transcript(*f.library, *f.machine, set, 1'000, tracing);
+       }},
+      {"cpu+mem+net spanning",
+       [](bool tracing) {
+         SimFixture f(sim::make_saxpy(20'000), pmu::sim_x86());
+         sim::CommWorld world({f.machine.get()});
+         EXPECT_TRUE(f.library
+                         ->register_component(
+                             "mem", "uncore counters",
+                             std::make_unique<MemBandwidthSubstrate>(
+                                 *f.machine))
+                         .ok());
+         EXPECT_TRUE(f.library
+                         ->register_component(
+                             "net", "nic counters",
+                             std::make_unique<NetworkSubstrate>(world))
+                         .ok());
+         EventSet& set = f.new_set();
+         EXPECT_TRUE(set.add_named("PAPI_TOT_INS").ok());
+         EXPECT_TRUE(set.add_named("mem::L2_MISSES").ok());
+         EXPECT_TRUE(set.add_named("net::MSG_SENT").ok());
+         std::vector<long long> t =
+             read_transcript(*f.library, *f.machine, set, 1'000, tracing);
+         f.library.reset();  // before the world the net substrate holds
+         return t;
+       }},
+      {"mux with a timer",
+       [](bool tracing) {
+         SimFixture f(sim::make_saxpy(20'000), pmu::sim_x86());
+         EventSet& set = f.new_set();
+         EXPECT_TRUE(set.enable_multiplex(/*slice_cycles=*/2'000).ok());
+         for (const char* name : kMuxEvents) {
+           EXPECT_TRUE(set.add_named(name).ok()) << name;
+         }
+         return read_transcript(*f.library, *f.machine, set, 1'000, tracing);
+       }},
+      {"sequential-degraded mux",
+       [](bool tracing) {
+         FaultPlan plan;
+         plan.at(FaultSite::kAddTimer).fail_times = 1'000;
+         FaultFixture f(sim::make_saxpy(20'000), pmu::sim_x86(), plan);
+         EventSet& set = f.new_set();
+         EXPECT_TRUE(set.enable_multiplex(/*slice_cycles=*/2'000).ok());
+         for (const char* name : kMuxEvents) {
+           EXPECT_TRUE(set.add_named(name).ok()) << name;
+         }
+         return read_transcript(*f.library, *f.machine, set, 1'000, tracing);
+       }},
+      {"12-bit wrapping counter",
+       [](bool tracing) {
+         FaultPlan plan;
+         plan.counter_width_bits = 12;  // wraps every 4096 counts
+         FaultFixture f(sim::make_saxpy(20'000), pmu::sim_x86(), plan);
+         EventSet& set = f.new_set();
+         EXPECT_TRUE(set.add_named("PAPI_TOT_INS").ok());
+         EXPECT_TRUE(set.add_named("PAPI_FMA_INS").ok());
+         return read_transcript(*f.library, *f.machine, set, 3'000, tracing);
+       }},
+  };
+}
+
+TEST(TelemetryTrace, TracingOnAndOffReadIdentically) {
+  for (const TracingParityCase& c : tracing_parity_cases()) {
+    const std::vector<long long> untraced = c.run(false);
+    const std::vector<long long> traced = c.run(true);
+    EXPECT_EQ(untraced, traced) << c.name;
+  }
 }
 
 // The E3 acceptance: on sim-alpha the DADD lesson — direct counting
