@@ -69,6 +69,9 @@ inline constexpr std::uint8_t kFrameModeRankRun = 1;
 inline constexpr std::size_t kMaxFrameBytes = 1u << 20;
 inline constexpr std::size_t kMaxEntriesPerFrame = 4096;
 inline constexpr std::size_t kMaxValuesPerEntry = 1024;
+/// Largest status byte: the negation of the lowest Error code.
+inline constexpr int kMaxWireStatus =
+    -static_cast<int>(Error::kComponentQuarantined);
 
 enum class WireError : std::uint8_t {
   kOk = 0,
@@ -100,13 +103,8 @@ struct EntryHeader {
   std::uint32_t num_values = 0;
 };
 
-// --- varint primitives (exposed for tests) --------------------------------
+// --- zigzag mapping -------------------------------------------------------
 
-/// Appends `v` as LEB128.  Appending into a warm vector is
-/// allocation-free.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
-/// Zigzag-maps then LEB128-encodes a signed value.
-void put_varint_signed(std::vector<std::uint8_t>& out, long long v);
 inline std::uint64_t zigzag_encode(long long v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -121,8 +119,10 @@ inline long long zigzag_decode(std::uint64_t u) noexcept {
 /// through `values` via first_value/num_values, exactly as
 /// snapshot_all laid them out) to `out`.  Reuses `out`'s capacity:
 /// steady-state encoding into a warm buffer performs no allocation.
-/// Returns false (and leaves `out` untouched) when the frame would
-/// exceed kMaxFrameBytes or a declared cap.
+/// Returns false (and leaves `out`'s bytes untouched) when the frame
+/// would exceed kMaxFrameBytes or a declared cap, or when an entry holds
+/// a field the decoder rejects (a negative handle, a status outside the
+/// Error code range).
 bool encode_frame(std::uint32_t rank, std::uint64_t frame_cycles,
                   std::span<const papi::SnapshotEntry> entries,
                   std::span<const long long> values,
@@ -354,11 +354,8 @@ inline WireError WireReader::read_entry(EntryHeader& out) noexcept {
   if (eend_ - p_ < 2) return WireError::kTruncated;
   const std::uint8_t status = *p_++;
   const std::uint8_t flags = *p_++;
-  // Status must be a known Error code: 0 .. -kMinError.
-  if (status > static_cast<std::uint8_t>(
-                   -static_cast<int>(Error::kComponentQuarantined))) {
-    return WireError::kMalformed;
-  }
+  // Status must be a known Error code.
+  if (status > kMaxWireStatus) return WireError::kMalformed;
   std::uint64_t pub_delta = 0;
   std::uint64_t num_values = 0;
   e = get_varint(pub_delta, eend_);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -681,6 +682,14 @@ papirepro::Result<papi::EventSet*> lookup(int event_set) {
   if (g().library == nullptr) return Error::kNoInit;
   return g().library->event_set(event_set);
 }
+
+/// The calling thread's SnapshotEntry marshalling buffer, grown to at
+/// least `n` rows and never cleared: callers overwrite the rows they use.
+std::span<papi::SnapshotEntry> snapshot_scratch(std::size_t n) {
+  thread_local std::vector<papi::SnapshotEntry> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return {scratch.data(), n};
+}
 }  // namespace
 
 int PAPI_add_event(int event_set, int event_code) {
@@ -770,10 +779,11 @@ int PAPIrepro_read_many(const int* event_sets, int count, long long* values,
       count <= 0 || values_capacity < 0) {
     return PAPI_EINVAL;
   }
-  // Marshalling scratch is thread-local and reused: steady-state calls
-  // allocate nothing once the capacity is warm.
-  thread_local std::vector<papi::SnapshotEntry> scratch;
-  scratch.assign(static_cast<std::size_t>(count), {});
+  // Marshalling scratch is thread-local and grow-only: steady-state
+  // calls neither allocate nor clear it (the batch walker writes every
+  // entry it reports).
+  const std::span<papi::SnapshotEntry> scratch =
+      snapshot_scratch(static_cast<std::size_t>(count));
   const Status s = g().library->read_many_handles(
       {event_sets, static_cast<std::size_t>(count)},
       {values, static_cast<std::size_t>(values_capacity)}, scratch);
@@ -796,11 +806,11 @@ int PAPIrepro_snapshot_all(PAPIrepro_snapshot_t* entries, int max_entries,
       values_capacity < 0) {
     return PAPI_EINVAL;
   }
-  thread_local std::vector<papi::SnapshotEntry> scratch;
-  scratch.assign(static_cast<std::size_t>(max_entries), {});
+  const std::span<papi::SnapshotEntry> scratch =
+      snapshot_scratch(static_cast<std::size_t>(max_entries));
   std::size_t entries_used = 0;
   const Status s = g().library->snapshot_all(
-      {scratch.data(), static_cast<std::size_t>(max_entries)},
+      scratch,
       {values, static_cast<std::size_t>(values_capacity)}, &entries_used,
       nullptr);
   if (!s.ok()) return to_code(s);
@@ -1013,10 +1023,10 @@ int PAPIrepro_wire_encode(unsigned int rank, long long frame_cycles,
       (values == nullptr && num_values != 0)) {
     return PAPI_EINVAL;
   }
-  // Marshal the C snapshot rows back into SnapshotEntry form; scratch
-  // is thread-local so steady-state encoding allocates nothing.
-  thread_local std::vector<papi::SnapshotEntry> scratch;
-  scratch.assign(static_cast<std::size_t>(num_entries), {});
+  // Marshal the C snapshot rows back into SnapshotEntry form (every
+  // field of every row is written below).
+  const std::span<papi::SnapshotEntry> scratch =
+      snapshot_scratch(static_cast<std::size_t>(num_entries));
   for (int i = 0; i < num_entries; ++i) {
     scratch[i].handle = entries[i].event_set;
     scratch[i].first_value =

@@ -462,8 +462,7 @@ Status EventSet::start() {
   // Claim the calling thread's running slot; kIsRunning when another
   // set already runs on this thread (the per-thread rule).  Then bind
   // each component slice to this thread's context for that component
-  // (component 0's exists from registration; the rest are created
-  // lazily, on this thread, on first use).
+  // (every context is created lazily, on this thread, on first use).
   auto thread = library_.acquire_thread(this);
   if (!thread.ok()) return thread.error();
   ThreadRegistry::ThreadState& tstate = *thread.value();

@@ -312,32 +312,34 @@ void Library::backoff_before_retry(int attempt) const {
   }
 }
 
-Result<ThreadRegistry::ThreadState*> Library::current_thread_state() {
+ThreadRegistry::ThreadState& Library::current_thread_slot() {
   if (tls_context_cache.token == instance_token_) {
-    return tls_context_cache.state;  // steady state: no registry lock
+    return *tls_context_cache.state;  // steady state: no registry lock
   }
-  if (ThreadRegistry::ThreadState* state = threads_.find_current()) {
-    tls_context_cache = {instance_token_, state};
-    return state;
+  ThreadRegistry::ThreadState* state = threads_.find_current();
+  if (state == nullptr) {
+    unsigned long numeric_id = 0;
+    if (has_id_fn_.load(std::memory_order_acquire)) {
+      // Registration slow path only — steady-state reads never get here.
+      writer_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(id_fn_mutex_);
+      numeric_id = id_fn_ ? id_fn_() : default_thread_id();
+    } else {
+      numeric_id = default_thread_id();
+    }
+    state = &threads_.claim_current(numeric_id);
   }
-  unsigned long numeric_id = 0;
-  if (has_id_fn_.load(std::memory_order_acquire)) {
-    // Registration slow path only — steady-state reads never get here.
-    writer_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(id_fn_mutex_);
-    numeric_id = id_fn_ ? id_fn_() : default_thread_id();
-  } else {
-    numeric_id = default_thread_id();
-  }
-  // Claim the registry slot first so the numeric id is assigned exactly
-  // once (the id function may not be idempotent), then create the
-  // context.  A failed create must release the claim, or the partial
-  // slot would shadow this thread forever and no retry could succeed.
-  ThreadRegistry::ThreadState& state = threads_.claim_current(numeric_id);
-  if (state.context != nullptr) {  // raced our own claim
-    tls_context_cache = {instance_token_, &state};
-    return &state;
-  }
+  tls_context_cache = {instance_token_, state};
+  return *state;
+}
+
+Result<ThreadRegistry::ThreadState*> Library::current_thread_state() {
+  ThreadRegistry::ThreadState& state = current_thread_slot();
+  if (state.context != nullptr) return &state;
+  // First counting use on this thread: create its component-0 context
+  // here, on the thread it binds to.  A failed create gives the slot
+  // back, or a thread whose create keeps failing would hold a
+  // registration it cannot use.
   std::unique_ptr<CounterContext> context;
   const Status created = run_slice_op(0, [&] {
     auto attempt = substrate_->create_context();
@@ -347,10 +349,10 @@ Result<ThreadRegistry::ThreadState*> Library::current_thread_state() {
   });
   if (!created.ok()) {
     threads_.release_partial_current();
+    tls_context_cache = {};
     return created.error();
   }
   state.context = std::move(context);
-  tls_context_cache = {instance_token_, &state};
   return &state;
 }
 
@@ -630,14 +632,14 @@ Status Library::read_many_handles(std::span<const int> handles,
                                   std::size_t* values_used) {
   if (values_used != nullptr) *values_used = 0;
   if (entries.size() < handles.size()) return Error::kInvalid;
-  auto state = current_thread_state();
-  if (!state.ok()) return state.error();
   // Handle resolution happens inside the pin: a concurrent destroy of
   // any of these sets parks the storage in the graveyard until we drop
-  // the pin, so the pointers stay valid for the whole batch.
-  const EpochPin pin(*this, *state.value());
+  // the pin, so the pointers stay valid for the whole batch.  The pin
+  // needs only a registry slot, never a counter context.
+  ThreadRegistry::ThreadState& state = current_thread_slot();
+  const EpochPin pin(*this, state);
   return walk_batch(
-      state.value()->running.load(std::memory_order_acquire),
+      state.running.load(std::memory_order_acquire),
       [&](auto&& visit) -> Status {
         for (const int handle : handles) {
           PAPIREPRO_RETURN_IF_ERROR(visit(handle, find_set(handle)));
@@ -685,11 +687,10 @@ Status Library::snapshot_all(std::span<SnapshotEntry> entries,
                              std::size_t* values_used) {
   if (entries_used != nullptr) *entries_used = 0;
   if (values_used != nullptr) *values_used = 0;
-  auto state = current_thread_state();
-  if (!state.ok()) return state.error();
-  const EpochPin pin(*this, *state.value());
+  ThreadRegistry::ThreadState& state = current_thread_slot();
+  const EpochPin pin(*this, state);
   return walk_batch(
-      state.value()->running.load(std::memory_order_acquire),
+      state.running.load(std::memory_order_acquire),
       [&](auto&& visit) -> Status {
         for (const auto& chunk_slot : set_chunks_) {
           std::atomic<EventSet*>* chunk =

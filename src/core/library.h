@@ -312,15 +312,20 @@ class Library {
   /// kIsRunning when another set already runs on this thread.
   Result<ThreadRegistry::ThreadState*> acquire_thread(EventSet* set);
   /// The calling thread's CounterContext for `component`, creating it on
-  /// first use (component 0's was created at registration).  Must be
-  /// called with the thread's own state.
+  /// first use (component 0's by current_thread_state).  Must be called
+  /// with the thread's own state.
   Result<CounterContext*> component_context(
       ThreadRegistry::ThreadState& state, std::uint32_t component);
   /// Clears whichever thread's running slot holds `set`.
   void release_context(EventSet* set);
-  /// The calling thread's state, creating it if needed.  Steady state is
-  /// a thread-local cache hit that never touches the registry lock;
-  /// the slow path registers the thread and fills the cache.
+  /// The calling thread's registry slot, claiming it if needed, with no
+  /// counter context: all a batched reader needs to pin an epoch.
+  /// Steady state is a thread-local cache hit that never touches the
+  /// registry lock; the slow path claims the slot and fills the cache.
+  ThreadRegistry::ThreadState& current_thread_slot();
+  /// The calling thread's slot with its component-0 context, which is
+  /// created on the first call (the first start() or explicit
+  /// registration on this thread).
   Result<ThreadRegistry::ThreadState*> current_thread_state();
   /// Sleeps the policy's exponential backoff before retry `attempt`.
   void backoff_before_retry(int attempt) const;

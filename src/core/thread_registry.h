@@ -1,8 +1,9 @@
 // Per-thread counter state for the Library.  Each registered thread owns
-// one CounterContext per registered component (component 0's — the CPU
-// core's — is created eagerly at registration, the rest lazily on first
-// use) and one running-EventSet slot — the PAPI 3 one-running-EventSet
-// rule, keyed by thread instead of by process.
+// one CounterContext per registered component, each created on the
+// thread's first use of it (a thread that only takes batched snapshots
+// holds a slot for its epoch pin and no context at all), and one
+// running-EventSet slot — the PAPI 3 one-running-EventSet rule, keyed by
+// thread instead of by process.
 //
 // Storage is contention-free for readers: ThreadStates live in-place in
 // append-only chunks linked by atomic next pointers, so every read-side
@@ -44,10 +45,10 @@ class ThreadRegistry {
     std::atomic<std::uint64_t> key{0};
     /// Numeric id from the user's PAPI_thread_init id function.
     unsigned long numeric_id = 0;
-    /// Component 0's (CPU core) context — created eagerly during
-    /// registration; a context-less slot marks a failed registration.
-    /// Contexts are touched only by the owning thread (or under the
-    /// writer mutex during erase) — never by lock-free scanners.
+    /// Component 0's (CPU core) context — created on the thread's first
+    /// start() or explicit registration; null for a thread that has only
+    /// read.  Contexts are touched only by the owning thread (or under
+    /// the writer mutex during erase) — never by lock-free scanners.
     std::unique_ptr<CounterContext> context;
     /// Lazily-created contexts for components 1..N-1, indexed by
     /// component id (slot 0 unused).  Touched only by the owning thread.
@@ -74,15 +75,14 @@ class ThreadRegistry {
   /// Lock-free scan (steady state is the Library's thread-local memo).
   ThreadState* find_current() const noexcept;
 
-  /// Claims (or returns) the calling thread's slot *without* a context —
-  /// the first half of claim-then-create registration.  The caller must
-  /// either attach a context or call release_partial_current(); a
-  /// leaked context-less slot would permanently block re-registration.
+  /// Claims (or returns) the calling thread's slot *without* a context.
+  /// The owning thread attaches one later, or calls
+  /// release_partial_current() when creating it fails.
   ThreadState& claim_current(unsigned long numeric_id);
 
-  /// Releases the calling thread's slot iff it is still context-less (a
-  /// claim whose create_context() failed).  No-op for completed
-  /// registrations and unregistered threads.
+  /// Releases the calling thread's slot iff it is still context-less (its
+  /// create_context() failed).  No-op for slots holding a context and
+  /// for unregistered threads.
   void release_partial_current();
 
   /// Drops the calling thread's state.  kIsRunning while its EventSet

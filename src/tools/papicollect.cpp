@@ -107,13 +107,6 @@ Result<PapicollectResult> papicollect(const PapicollectRequest& request) {
     raw.push_back(machines.back().get());
   }
 
-  // The collector thread's own idle machine.  snapshot_all() registers
-  // its calling thread, creating a CounterContext on the machine bound
-  // to that thread (machines[0] by default), and attaching that
-  // context's PMU to a machine a rank thread is stepping would race the
-  // rank's event emission.
-  sim::Machine collector_machine(workloads[0].program, platform->machine);
-
   papi::SimSubstrateOptions options;
   options.charge_costs = false;
   auto owned = std::make_unique<papi::SimSubstrate>(*machines[0],
@@ -151,7 +144,6 @@ Result<PapicollectResult> papicollect(const PapicollectRequest& request) {
   // collector has no shared cycle clock with its remote ranks either).
   std::uint64_t collector_now = 0;
   std::thread collector_thread([&] {
-    substrate->bind_thread_machine(collector_machine);
     while (collecting.load(std::memory_order_acquire)) {
       if (library.snapshot_all(snap_entries, snap_values).ok() &&
           !snap_entries.empty()) {

@@ -415,4 +415,58 @@ TEST(AggregationWire, EncoderEnforcesCaps) {
   EXPECT_EQ(buf.size(), 1u);
 }
 
+TEST(AggregationWire, EncoderRefusesEntriesTheDecoderRejects) {
+  // A negative handle or a status outside the Error range used to be
+  // written anyway, and the collector then dropped the whole frame as a
+  // decode error.  The encoder must refuse them up front instead.
+  const long long values[1] = {5};
+  papi::SnapshotEntry good;
+  good.handle = 3;
+  good.first_value = 0;
+  good.num_values = 1;
+  const std::vector<std::uint8_t> prefix = {0xAB};
+  struct Case {
+    const char* name;
+    int handle;
+    Error status;
+  };
+  const Case refused[] = {
+      {"negative handle", -1, Error::kOk},
+      {"most negative handle", std::numeric_limits<int>::min(), Error::kOk},
+      {"positive status", 3, static_cast<Error>(5)},
+      {"status below the Error range", 3,
+       static_cast<Error>(static_cast<int>(Error::kComponentQuarantined) -
+                          1)},
+      {"most negative status", 3,
+       static_cast<Error>(std::numeric_limits<int>::min())},
+  };
+  for (const Case& c : refused) {
+    // The bad entry sits behind a good one: nothing may be written.
+    papi::SnapshotEntry bad = good;
+    bad.handle = c.handle;
+    bad.status = c.status;
+    const papi::SnapshotEntry entries[2] = {good, bad};
+    std::vector<std::uint8_t> buf = prefix;
+    for (const std::uint8_t mode : {kFrameModeSingleRank,
+                                    kFrameModeRankRun}) {
+      EXPECT_FALSE(encode_frame(1, 0, entries, values, buf, mode))
+          << c.name;
+      EXPECT_EQ(buf, prefix) << c.name;
+    }
+  }
+  // The extremes the decoder accepts still encode and round-trip.
+  papi::SnapshotEntry edge = good;
+  edge.handle = std::numeric_limits<int>::max();
+  edge.status = Error::kComponentQuarantined;
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(encode_frame(1, 0, {&edge, 1}, values, buf));
+  WireReader reader(buf);
+  FrameHeader fh;
+  ASSERT_EQ(reader.begin_frame(fh), WireError::kOk);
+  EntryHeader eh;
+  ASSERT_EQ(reader.read_entry(eh), WireError::kOk);
+  EXPECT_EQ(eh.handle, edge.handle);
+  EXPECT_EQ(eh.status, Error::kComponentQuarantined);
+}
+
 }  // namespace

@@ -133,6 +133,46 @@ TEST_F(AggregationCapi, DecodeErrorsCountedAndSurvivable) {
   EXPECT_EQ(PAPIrepro_collector_destroy(c), PAPI_OK);
 }
 
+TEST_F(AggregationCapi, EncodeRefusesRowsTheDecoderWouldDrop) {
+  // C rows pass straight into the encoder: a negative event_set or a
+  // positive status must be refused, not encoded into a frame that the
+  // collector then discards whole as a decode error.
+  make_stopped_set();
+  PAPIrepro_snapshot_t entries[4];
+  long long values[8];
+  const int n = PAPIrepro_snapshot_all(entries, 4, values, 8);
+  ASSERT_GT(n, 0);
+  unsigned char frame[512];
+  ASSERT_GT(PAPIrepro_wire_encode(0, 10, entries, n, values, 8, frame,
+                                  sizeof frame),
+            0);
+
+  PAPIrepro_snapshot_t bad_status = entries[0];
+  bad_status.status = 5;
+  EXPECT_EQ(PAPIrepro_wire_encode(0, 10, &bad_status, 1, values, 8, frame,
+                                  sizeof frame),
+            PAPI_EINVAL);
+  PAPIrepro_snapshot_t bad_handle = entries[0];
+  bad_handle.event_set = -1;
+  EXPECT_EQ(PAPIrepro_wire_encode(0, 10, &bad_handle, 1, values, 8, frame,
+                                  sizeof frame),
+            PAPI_EINVAL);
+
+  // Nothing that was accepted reached the collector as an error.
+  PAPIrepro_collector_config_t cfg = {};
+  cfg.num_metrics = 2;
+  const int c = PAPIrepro_collector_create(&cfg);
+  ASSERT_GE(c, 0);
+  const int bytes = PAPIrepro_wire_encode(0, 10, entries, n, values, 8,
+                                          frame, sizeof frame);
+  ASSERT_GT(bytes, 0);
+  EXPECT_EQ(PAPIrepro_collector_ingest(c, frame, bytes), 1);
+  PAPIrepro_telemetry_t t = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  EXPECT_EQ(t.collector_decode_errors, 0);
+  EXPECT_EQ(PAPIrepro_collector_destroy(c), PAPI_OK);
+}
+
 TEST_F(AggregationCapi, ArgumentAndHandleMatrix) {
   static PAPIrepro_cluster_view_t view;
   static unsigned char buf[64];

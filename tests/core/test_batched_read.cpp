@@ -445,5 +445,53 @@ TEST(BatchedRegistry, ThreadSlotsAreReusedAcrossWaves) {
   EXPECT_EQ(entries.size(), handles.size());
 }
 
+TEST(BatchedRegistry, ReadOnlyThreadCreatesNoCounterContext) {
+  // A batched read pins an epoch through a registry slot: a thread that
+  // only reads publications must not create a CounterContext (on a
+  // threaded sim that context would attach to a machine another thread
+  // may be stepping).  Its first start() creates one, on that thread.
+  papirepro::test::FaultFixture f(sim::make_saxpy(500), pmu::sim_x86(),
+                                  FaultPlan{}, {.charge_costs = false});
+  std::vector<int> handles;
+  for (int i = 0; i < 2; ++i) {
+    auto handle = f.library->create_event_set();
+    ASSERT_TRUE(handle.ok());
+    EventSet& set = *f.library->event_set(handle.value()).value();
+    ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+    handles.push_back(handle.value());
+  }
+  EventSet& published = *f.library->event_set(handles[0]).value();
+  ASSERT_TRUE(published.start().ok());
+  ASSERT_TRUE(published.stop().ok());
+  const std::uint64_t creates =
+      f.fault->call_count(FaultSite::kCreateContext);
+  ASSERT_EQ(creates, 1u);  // the main thread's
+
+  std::thread reader([&] {
+    std::vector<SnapshotEntry> entries;
+    std::vector<long long> values;
+    EXPECT_TRUE(f.library->snapshot_all(entries, values).ok());
+    EXPECT_EQ(entries.size(), handles.size());
+    std::vector<SnapshotEntry> some(handles.size());
+    std::vector<long long> some_values(4);
+    EXPECT_TRUE(
+        f.library->read_many_handles(handles, some_values, some).ok());
+    EXPECT_EQ(f.fault->call_count(FaultSite::kCreateContext), creates);
+    // The read-only thread is registered (its slot carries the pin)...
+    EXPECT_EQ(f.library->num_threads(), 2u);
+    // ...and a later start() on it creates its context and counts.
+    EventSet& own = *f.library->event_set(handles[1]).value();
+    EXPECT_TRUE(own.start().ok());
+    EXPECT_EQ(f.fault->call_count(FaultSite::kCreateContext), creates + 1);
+    long long v = -1;
+    EXPECT_TRUE(own.stop({&v, 1}).ok());
+    EXPECT_GE(v, 0);
+    EXPECT_TRUE(f.library->snapshot_all(entries, values).ok());
+    EXPECT_TRUE(f.library->unregister_thread().ok());
+  });
+  reader.join();
+  EXPECT_EQ(f.library->num_threads(), 1u);
+}
+
 }  // namespace
 }  // namespace papirepro::papi
