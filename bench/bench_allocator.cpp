@@ -4,8 +4,6 @@
 // times the solver.  Shape to reproduce: the optimal matcher always
 // places >= as many events, with a measurable win on constrained
 // instances, at microsecond-scale cost.
-#include <chrono>
-
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/allocator.h"
@@ -91,18 +89,15 @@ void timing() {
   for (int e = 0; e < 12; ++e) {
     inst.allowed.push_back(static_cast<std::uint32_t>(rng.next()) & 0xff);
   }
-  constexpr int kIters = 200'000;
+  constexpr int kIters = 40'000;
+  constexpr int kReps = 5;
   std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    sink += papi::solve_max_cardinality(inst).mapped_count;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
+  const bench::Stats s = bench::measure_interleaved(
+      {[&] { sink += papi::solve_max_cardinality(inst).mapped_count; }},
+      kIters, kReps)[0];
   std::printf("\noptimal matcher latency (12 events x 8 counters): "
-              "%.0f ns/allocation (checksum %llu)\n",
-              ns, static_cast<unsigned long long>(sink));
+              "%.0f ns/allocation CPU (min of %d reps; checksum %llu)\n",
+              s.min_ns, kReps, static_cast<unsigned long long>(sink));
 }
 
 }  // namespace

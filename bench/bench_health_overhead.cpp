@@ -2,17 +2,14 @@
 // The breaker brackets every slice operation with admit()/record() — two
 // relaxed atomic loads when the component is healthy — so the steady-
 // state read must not regress: the gate holds the health-enabled direct
-// read within 5% of the health-disabled read and every row at zero heap
-// allocations.  Also measures what the breaker buys: the fail-fast
-// rejection path against a quarantined component (the alternative is a
-// full retry ladder per call).  Emits BENCH_health_overhead.json for
-// trend tracking, exit code 1 on gate failure.
-#include <atomic>
-#include <chrono>
+// read within 5% of the health-disabled read (the two timed in the same
+// interleaved reps) and every row at zero heap allocations.  Also
+// measures what the breaker buys: the fail-fast rejection path against a
+// quarantined component (the alternative is a full retry ladder per
+// call).  Emits BENCH_health_overhead.json for trend tracking, exit code
+// 1 on gate failure.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -21,125 +18,43 @@
 #include "substrate/component_substrates.h"
 #include "substrate/fault_substrate.h"
 
-// --- global operator-new counting -----------------------------------------
-// Replaceable allocation functions counting every heap allocation made by
-// the process; reads in steady state should add zero to this.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 using namespace papirepro;
 
 namespace {
 
-constexpr int kIters = 100'000;
-constexpr int kRepeats = 5;  // best-of-N to shed scheduler noise
-
-struct Row {
-  const char* scenario;
-  double ns = 0;
-  double allocs = 0;
-};
-
-/// Times `iters` calls of `op`, best wall time of kRepeats runs, and
-/// reports (ns/call, allocs/call).
-template <typename Op>
-std::pair<double, double> measure(int iters, Op&& op) {
-  for (int i = 0; i < 64; ++i) op();  // warm scratch capacities
-  double best_ns = 0.0;
-  double allocs = 0.0;
-  for (int r = 0; r < kRepeats; ++r) {
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) op();
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
-    if (r == 0 || ns < best_ns) best_ns = ns;
-    allocs = static_cast<double>(a1 - a0) / iters;  // any repeat's leak
-    if (allocs > 0.0) break;
-  }
-  return {best_ns, allocs};
-}
+// Many short reps, not a few long ones (see bench_util.h).
+constexpr int kIters = 5'000;
+constexpr int kReps = 100;
 
 /// Direct single-component read with the health layer in the given
-/// state.  The two calls differ only in HealthPolicy::enabled.
-Row run_direct(const char* scenario, bool health_enabled) {
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
+/// state.  The two scenarios differ only in HealthPolicy::enabled.
+bench::Op setup_direct(bench::LiveRig& rig, bool health_enabled) {
   papi::HealthPolicy policy;
   policy.enabled = health_enabled;
   (void)rig.library->set_health_policy(policy);
   papi::EventSet& set = rig.new_set();
   (void)set.add_preset(papi::Preset::kTotIns);
   (void)set.add_preset(papi::Preset::kTotCyc);
-  if (!set.start().ok()) return {scenario};
-  Row row{scenario};
-  std::vector<long long> v(set.num_events());
-  std::tie(row.ns, row.allocs) = measure(kIters, [&] { (void)set.read(v); });
-  (void)set.stop();
-  return row;
+  (void)rig.start(set);
+  return rig.read();
 }
 
 /// Spanning cpu+mem read_ex with everything healthy: the partial-read
 /// entry point's own steady-state cost (flag computation included).
-Row run_read_ex_spanning() {
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
+bench::Op setup_read_ex_spanning(bench::LiveRig& rig) {
   (void)rig.library->register_component(
       "mem", "uncore",
       std::make_unique<papi::MemBandwidthSubstrate>(*rig.machine));
   papi::EventSet& set = rig.new_set();
   (void)set.add_preset(papi::Preset::kTotIns);
   (void)set.add_named("mem::BANDWIDTH_RD");
-  if (!set.start().ok()) return {"read_ex_spanning"};
-  Row row{"read_ex_spanning"};
-  std::vector<long long> v(set.num_events());
-  std::vector<std::uint32_t> flags(set.num_events());
-  std::tie(row.ns, row.allocs) =
-      measure(kIters, [&] { (void)set.read_ex(v, flags); });
-  (void)set.stop();
-  return row;
+  (void)rig.start(set);
+  return rig.read_ex();
 }
 
 /// read_ex against a spanning set whose mem component is quarantined:
 /// the fail-fast path the breaker substitutes for the retry ladder.
-Row run_quarantined_fail_fast() {
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
+bench::Op setup_quarantined_fail_fast(bench::LiveRig& rig) {
   papi::FaultPlan plan;
   plan.at(papi::FaultSite::kRead).fail_times = 1 << 30;  // hard down
   auto wrapped = std::make_unique<papi::FaultInjectingSubstrate>(
@@ -155,40 +70,13 @@ Row run_quarantined_fail_fast() {
   papi::EventSet& set = rig.new_set();
   (void)set.add_preset(papi::Preset::kTotIns);
   (void)set.add_named("mem::BANDWIDTH_RD");
-  if (!set.start().ok()) return {"quarantined_fail_fast"};
-  std::vector<long long> v(set.num_events());
-  std::vector<std::uint32_t> flags(set.num_events());
-  (void)set.read_ex(v, flags);  // trips the breaker (one exhausted read)
-  if (!mem_id.ok() ||
-      rig.library->component_health(mem_id.value()).value().state !=
-          papi::HealthState::kQuarantined) {
-    return {"quarantined_fail_fast"};
-  }
-  Row row{"quarantined_fail_fast"};
-  std::tie(row.ns, row.allocs) =
-      measure(kIters, [&] { (void)set.read_ex(v, flags); });
-  (void)set.stop();
-  return row;
-}
-
-void write_json(const std::vector<Row>& rows, double overhead_pct) {
-  std::FILE* f = std::fopen("BENCH_health_overhead.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_health_overhead.json\n");
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"health_overhead\",\n  \"iters\": %d,\n"
-               "  \"overhead_pct\": %.2f,\n  \"scenarios\": {\n",
-               kIters, overhead_pct);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "    \"%s\": {\"read_ns\": %.1f, \"allocs\": %.3f}%s\n",
-                 r.scenario, r.ns, r.allocs,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
+  if (!rig.start(set)) return {};
+  (void)set.read_ex(rig.values, rig.flags);  // trips the breaker
+  const bool quarantined =
+      mem_id.ok() &&
+      rig.library->component_health(mem_id.value()).value().state ==
+          papi::HealthState::kQuarantined;
+  return quarantined ? rig.read_ex() : bench::Op{};
 }
 
 }  // namespace
@@ -196,57 +84,44 @@ void write_json(const std::vector<Row>& rows, double overhead_pct) {
 int main() {
   bench::header("HO1", "component health monitor hot-path overhead");
   std::printf(
-      "wall ns and heap allocations per call after start() (sim-x86,\n"
-      "cost charging off; best of %d x %d iterations per cell):\n\n",
-      kRepeats, kIters);
-  std::printf("%-24s %10s %10s\n", "scenario", "read_ns", "allocs");
+      "CPU ns and heap allocations per call after start() (sim-x86,\n"
+      "cost charging off; min of %d interleaved reps x %d iterations):"
+      "\n\n",
+      kReps, kIters);
 
-  std::vector<Row> rows;
-  rows.push_back(run_direct("health_disabled", false));
-  rows.push_back(run_direct("health_enabled", true));
-  rows.push_back(run_read_ex_spanning());
-  rows.push_back(run_quarantined_fail_fast());
-
-  for (const Row& r : rows) {
-    std::printf("%-24s %10.1f %10.3f\n", r.scenario, r.ns, r.allocs);
+  const char* const names[] = {"health_disabled", "health_enabled",
+                               "read_ex_spanning", "quarantined_fail_fast"};
+  bench::LiveRig rigs[4];
+  const std::vector<bench::Stats> stats = bench::measure_interleaved(
+      {setup_direct(rigs[0], false), setup_direct(rigs[1], true),
+       setup_read_ex_spanning(rigs[2]),
+       setup_quarantined_fail_fast(rigs[3])},
+      kIters, kReps);
+  for (bench::LiveRig& rig : rigs) {
+    if (rig.set != nullptr) (void)rig.set->stop();
   }
 
-  const Row& off = rows[0];
-  const Row& on = rows[1];
-  const double overhead_pct =
-      off.ns > 0 ? (on.ns / off.ns - 1.0) * 100.0 : 0.0;
-  write_json(rows, overhead_pct);
-
+  bench::Report report("health_overhead");
+  std::printf("%-24s %10s %10s %10s\n", "scenario", "read_ns", "median_ns",
+              "allocs");
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    std::printf("%-24s %10.1f %10.1f %10.3f%s\n", names[i],
+                stats[i].min_ns, stats[i].median_ns, stats[i].allocs,
+                stats[i].ran ? "" : "  (did not run)");
+    report.stats(names[i], "read", stats[i]);
+  }
   std::printf(
       "\nthe healthy-path bracket is two relaxed atomic loads per slice\n"
       "op; quarantined_fail_fast shows the rejection cost the breaker\n"
-      "substitutes for a full retry ladder.  JSON written to\n"
-      "BENCH_health_overhead.json.\n\n");
+      "substitutes for a full retry ladder.\n");
 
-  // Gates: the health bracket must cost <= 5% on the direct read (with
-  // half a nanosecond of absolute grace against timer noise on very
-  // short calls), and every steady-state row stays allocation-free.
-  bool gate_ok = true;
-  if (off.ns > 0 && on.ns > off.ns * 1.05 + 0.5) {
-    std::printf("GATE FAIL: health_enabled read %.1f ns exceeds 5%% over "
-                "health_disabled %.1f ns\n", on.ns, off.ns);
-    gate_ok = false;
+  // The health bracket must cost <= 5% on the direct read (with half a
+  // nanosecond of absolute grace against timer noise on very short
+  // calls), and every steady-state row stays allocation-free.
+  report.ratio_at_most("enabled_vs_disabled_read", stats[1], stats[0], 1.05,
+                       0.5);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    report.no_allocs(std::string(names[i]) + "_allocs", stats[i]);
   }
-  for (const Row& r : rows) {
-    if (r.ns == 0.0) {
-      std::printf("GATE FAIL: scenario %s did not run\n", r.scenario);
-      gate_ok = false;
-    }
-    if (r.allocs != 0.0) {
-      std::printf("GATE FAIL: scenario %s allocates (%.3f allocs/call)\n",
-                  r.scenario, r.allocs);
-      gate_ok = false;
-    }
-  }
-  if (gate_ok) {
-    std::printf("gate: health_enabled %.1f ns vs disabled %.1f ns "
-                "(%+.1f%%), all rows 0 allocs — OK\n",
-                on.ns, off.ns, overhead_pct);
-  }
-  return gate_ok ? 0 : 1;
+  return report.finish();
 }

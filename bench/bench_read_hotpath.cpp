@@ -8,19 +8,10 @@
 // ~nothing on top of the substrate; after the zero-allocation hot-path
 // work, every steady-state read should report 0 allocs.
 //
-// Measurement: per-thread CPU time (CLOCK_THREAD_CPUTIME_ID), minimum
-// over several repetitions — shared CI boxes inflate wall time with
-// scheduler noise, and the minimum of CPU time is the stable estimate
-// of what the code path actually costs.  Also emits machine-readable
-// BENCH_read_hotpath.json (in the working directory — the repo root
-// when run via CI) so successive PRs can track the trajectory.
-#include <atomic>
-#include <chrono>
+// Measurement: bench_util.h's harness (thread-CPU clock, reps interleaved
+// across the single-thread scenarios, min over reps).  Emits
+// BENCH_read_hotpath.json.
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
-#include <new>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,396 +19,230 @@
 #include "substrate/component_substrates.h"
 #include "substrate/fault_substrate.h"
 
-// --- global operator-new counting -----------------------------------------
-// Replaceable allocation functions counting every heap allocation made by
-// the process; reads in steady state should add zero to this.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 using namespace papirepro;
 
 namespace {
 
 constexpr int kIters = 100'000;
 constexpr int kReps = 5;
+constexpr int kSets = 1000;
+// The pass comparison takes many short reps (see bench_util.h).
+constexpr int kPasses = 40;
+constexpr int kPassReps = 25;
 
-/// Per-thread CPU nanoseconds; falls back to wall time where the thread
-/// clock is unavailable.
-std::uint64_t thread_cpu_ns() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  }
-#endif
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-struct Row {
-  const char* scenario;
-  double read_ns = 0;
-  double read_allocs = 0;
-  double accum_ns = 0;
-  double accum_allocs = 0;
-};
-
-/// Times `iters` calls of `op`, best of kReps repetitions, and reports
-/// (ns/call, allocs/call).  Allocations are summed over every rep (the
-/// warm-up absorbs first-touch growth, so steady state must stay at 0).
-template <typename Op>
-std::pair<double, double> measure(int iters, Op&& op) {
-  // Warm-up: fill scratch capacities / caches so we measure steady state.
-  for (int i = 0; i < 64; ++i) op();
-  double best_ns = 1e18;
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-  for (int rep = 0; rep < kReps; ++rep) {
-    const std::uint64_t t0 = thread_cpu_ns();
-    for (int i = 0; i < iters; ++i) op();
-    const std::uint64_t t1 = thread_cpu_ns();
-    const double ns = static_cast<double>(t1 - t0) / iters;
-    if (ns < best_ns) best_ns = ns;
-  }
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-  return {best_ns,
-          static_cast<double>(a1 - a0) / (static_cast<double>(iters) * kReps)};
-}
-
-Row measure_set(const char* scenario, papi::EventSet& set,
-                int iters = kIters) {
-  Row row{scenario};
-  std::vector<long long> v(set.num_events());
-  std::tie(row.read_ns, row.read_allocs) =
-      measure(iters, [&] { (void)set.read(v); });
-  std::tie(row.accum_ns, row.accum_allocs) =
-      measure(iters, [&] { (void)set.accum(v); });
-  return row;
-}
-
-Row run_direct() {
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
+void setup_direct(bench::LiveRig& rig) {
   papi::EventSet& set = rig.new_set();
   (void)set.add_preset(papi::Preset::kTotIns);
   (void)set.add_preset(papi::Preset::kTotCyc);
-  if (!set.start().ok()) return {"direct"};
-  Row row = measure_set("direct", set);
-  (void)set.stop();
-  return row;
+  (void)rig.start(set);
 }
 
-Row run_folded() {
-  // Narrow 24-bit counters through the fault decorator (no fault
-  // scripts armed): every read goes through the wraparound-folding path.
-  sim::Workload w = sim::make_empty_loop(10);
-  auto machine =
-      std::make_unique<sim::Machine>(w.program, pmu::sim_x86().machine);
-  auto inner = std::make_unique<papi::SimSubstrate>(
-      *machine, pmu::sim_x86(),
-      papi::SimSubstrateOptions{.charge_costs = false});
-  papi::FaultPlan plan;
-  plan.counter_width_bits = 24;
-  papi::Library library(std::make_unique<papi::FaultInjectingSubstrate>(
-      std::move(inner), plan));
-  auto handle = library.create_event_set();
-  papi::EventSet& set = *library.event_set(handle.value()).value();
-  (void)set.add_preset(papi::Preset::kTotIns);
-  (void)set.add_preset(papi::Preset::kTotCyc);
-  if (!set.start().ok()) return {"folded_24bit"};
-  Row row = measure_set("folded_24bit", set);
-  (void)set.stop();
-  return row;
-}
-
-Row run_cross_component() {
-  // EventSet spanning cpu:: + mem:: + net::: every read fans out over
-  // three component slices.  The gate (checked in main) is that the
-  // fan-out machinery stays allocation-free and costs at most 2x the
-  // single-component direct read.
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
-  sim::CommWorld world({rig.machine.get()});
+/// EventSet spanning cpu:: + mem:: + net::: every read fans out over
+/// three component slices.
+void setup_cross_component(bench::LiveRig& rig, sim::CommWorld& world) {
   (void)rig.library->register_component(
-      "mem", "uncore", std::make_unique<papi::MemBandwidthSubstrate>(
-                           *rig.machine));
+      "mem", "uncore",
+      std::make_unique<papi::MemBandwidthSubstrate>(*rig.machine));
   (void)rig.library->register_component(
       "net", "nic", std::make_unique<papi::NetworkSubstrate>(world));
   papi::EventSet& set = rig.new_set();
   (void)set.add_preset(papi::Preset::kTotIns);
   (void)set.add_named("mem::BANDWIDTH_RD");
   (void)set.add_named("net::MSG_SENT");
-  if (!set.start().ok()) return {"cross_component"};
-  Row row = measure_set("cross_component", set);
-  (void)set.stop();
-  return row;
+  (void)rig.start(set);
 }
 
-Row run_multiplexed() {
-  bench::Rig rig(sim::make_saxpy(50'000), pmu::sim_x86(),
-                 {.charge_costs = false});
+/// Narrow 24-bit counters through the fault decorator (no fault scripts
+/// armed): every read goes through the wraparound-folding path.
+void setup_folded(bench::LiveRig& rig) {
+  auto inner = std::make_unique<papi::SimSubstrate>(
+      *rig.machine, pmu::sim_x86(),
+      papi::SimSubstrateOptions{.charge_costs = false});
+  papi::FaultPlan plan;
+  plan.counter_width_bits = 24;
+  rig.library = std::make_unique<papi::Library>(
+      std::make_unique<papi::FaultInjectingSubstrate>(std::move(inner),
+                                                      plan));
+  setup_direct(rig);
+}
+
+void setup_multiplexed(bench::LiveRig& rig) {
   papi::EventSet& set = rig.new_set();
   (void)set.enable_multiplex(/*slice_cycles=*/20'000);
   for (const char* name : {"PAPI_FMA_INS", "PAPI_LD_INS", "PAPI_SR_INS",
                            "PAPI_TOT_INS", "PAPI_BR_INS", "PAPI_L1_DCA"}) {
     (void)set.add_named(name);
   }
-  if (!set.start().ok()) return {"multiplexed"};
-  rig.machine->run();  // let the slices rotate over a real workload
-  Row row = measure_set("multiplexed", set);
-  (void)set.stop();
-  return row;
+  if (rig.start(set)) rig.machine->run();  // let the slices rotate
 }
 
-/// N threads, each driving its own EventSet through one shared Library.
-/// All threads arm, then spin on the release gate so the measured
-/// windows overlap and contention (if any crept back in) is exercised.
-/// Both read() and accum() are measured per thread (accum used to be
-/// silently skipped here, reporting 0.0).
-Row run_threaded(const char* scenario, int num_threads) {
+/// Per-thread mean of each thread's figures; not run if any thread's
+/// scenario did not run.
+bench::Stats mean_of(const std::vector<bench::Stats>& per_thread) {
+  bench::Stats m;
+  m.ran = true;
+  const auto n = static_cast<double>(per_thread.size());
+  for (const bench::Stats& x : per_thread) {
+    if (!x.ran) return {};
+    m.min_ns += x.min_ns / n;
+    m.median_ns += x.median_ns / n;
+    m.p10_ns += x.p10_ns / n;
+    m.p90_ns += x.p90_ns / n;
+    m.allocs += x.allocs / n;
+  }
+  return m;
+}
+
+/// N threads, each driving its own EventSet through one shared Library;
+/// the harness barrier makes the measured windows overlap so contention
+/// (if any crept back in) is exercised.  Returns the (read, accum) mean
+/// over threads of each thread's interleaved figures.
+std::pair<bench::Stats, bench::Stats> run_threaded(int num_threads) {
   const int iters = num_threads >= 16 ? 20'000 : kIters;
-  std::vector<sim::Workload> workloads;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  for (int t = 0; t < num_threads; ++t) {
-    workloads.push_back(sim::make_empty_loop(10));
-    machines.push_back(std::make_unique<sim::Machine>(
-        workloads.back().program, pmu::sim_x86().machine));
-  }
-  auto owned = std::make_unique<papi::SimSubstrate>(
-      *machines[0], pmu::sim_x86(),
-      papi::SimSubstrateOptions{.charge_costs = false});
-  papi::SimSubstrate* substrate = owned.get();
-  papi::Library library(std::move(owned));
-
-  std::atomic<int> armed{0};
-  std::atomic<bool> go{false};
-  std::vector<Row> per_thread(num_threads, Row{scenario});
-  std::vector<std::thread> threads;
-  for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&, t] {
-      substrate->bind_thread_machine(*machines[t]);
-      auto handle = library.create_event_set();
-      papi::EventSet& set = *library.event_set(handle.value()).value();
-      (void)set.add_preset(papi::Preset::kTotIns);
-      if (!set.start().ok()) return;
-      armed.fetch_add(1, std::memory_order_acq_rel);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      per_thread[t] = measure_set(scenario, set, iters);
-      (void)set.stop();
-      (void)library.destroy_event_set(set.handle());
-      (void)library.unregister_thread();
-    });
-  }
-  while (armed.load(std::memory_order_acquire) < num_threads) {
-    std::this_thread::yield();
-  }
-  go.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-
-  Row row{scenario};
-  for (const Row& r : per_thread) {
-    row.read_ns += r.read_ns / num_threads;
-    row.read_allocs += r.read_allocs / num_threads;
-    row.accum_ns += r.accum_ns / num_threads;
-    row.accum_allocs += r.accum_allocs / num_threads;
-  }
-  return row;
+  bench::SharedRig rig(num_threads);
+  std::vector<bench::Stats> reads(num_threads), accums(num_threads);
+  bench::run_threads(num_threads, [&](int t, const auto& arm) {
+    papi::EventSet& set = rig.thread_set(t);
+    if (!set.start().ok()) return;
+    std::vector<long long> v(set.num_events());
+    arm();
+    const std::vector<bench::Stats> s = bench::measure_interleaved(
+        {[&] { (void)set.read(v); }, [&] { (void)set.accum(v); }}, iters,
+        kReps);
+    reads[t] = s[0];
+    accums[t] = s[1];
+    (void)set.stop();
+    (void)rig.library->destroy_event_set(set.handle());
+    (void)rig.library->unregister_thread();
+  });
+  return {mean_of(reads), mean_of(accums)};
 }
 
-/// Batched snapshot over 1000 EventSets: one running set plus 999
-/// started-then-stopped sets (their finals live in the seqlock
-/// publication).  Compares the naive per-handle loop — event_set(h)
-/// lookup + read() per set, what a monitor without the batch API writes
-/// — against one warm snapshot_all() pass.
-struct SnapshotResult {
-  double naive_per_set_ns = 0;
-  double batched_per_set_ns = 0;
-  double naive_allocs_per_pass = 0;
-  double batched_allocs_per_pass = 0;
-  bool ok = false;
-};
-
-SnapshotResult run_snapshot_all() {
-  constexpr int kSets = 1000;
-  constexpr int kPasses = 200;
-  SnapshotResult res;
-  bench::Rig rig(sim::make_empty_loop(10), pmu::sim_x86(),
-                 {.charge_costs = false});
-  papi::Library& library = *rig.library;
+/// kSets EventSets: one running plus kSets-1 started-then-stopped ones
+/// (their finals live in the seqlock publication), the population the
+/// naive per-handle loop — event_set(h) lookup + read() per set, what a
+/// monitor without the batch API writes — and snapshot_all() pass over.
+/// Returns the handles, or none when set-up failed.
+std::vector<int> populate(papi::Library& library) {
   std::vector<int> handles;
-  handles.reserve(kSets);
   for (int i = 0; i < kSets; ++i) {
     auto handle = library.create_event_set();
-    if (!handle.ok()) return res;
+    if (!handle.ok()) return {};
     papi::EventSet& set = *library.event_set(handle.value()).value();
     (void)set.add_preset(papi::Preset::kTotIns);
     (void)set.add_preset(papi::Preset::kTotCyc);
     handles.push_back(handle.value());
-    if (i == 0) continue;  // the first set runs live below
-    if (!set.start().ok() || !set.stop().ok()) return res;
+    if (i > 0 && !(set.start().ok() && set.stop().ok())) return {};
   }
-  papi::EventSet& live = *library.event_set(handles[0]).value();
-  if (!live.start().ok()) return res;
-
-  // Naive: per-handle lookup + read into a per-set buffer.
-  std::vector<long long> v(2);
-  auto naive_pass = [&] {
-    for (const int h : handles) {
-      (void)library.event_set(h).value()->read(v);
-    }
-  };
-  const auto [naive_pass_ns, naive_pass_allocs] = measure(kPasses, naive_pass);
-  res.naive_per_set_ns = naive_pass_ns / kSets;
-  res.naive_allocs_per_pass = naive_pass_allocs;
-
-  // Batched: one snapshot_all over the whole registry, warm vectors.
-  std::vector<papi::SnapshotEntry> entries;
-  std::vector<long long> values;
-  auto batched_pass = [&] { (void)library.snapshot_all(entries, values); };
-  const auto [batched_pass_ns, batched_pass_allocs] =
-      measure(kPasses, batched_pass);
-  res.batched_per_set_ns = batched_pass_ns / kSets;
-  res.batched_allocs_per_pass = batched_pass_allocs;
-  res.ok = entries.size() == kSets;
-  (void)live.stop();
-  return res;
-}
-
-void write_json(const std::vector<Row>& rows, const SnapshotResult& snap) {
-  std::FILE* f = std::fopen("BENCH_read_hotpath.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_read_hotpath.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"read_hotpath\",\n  \"iters\": %d,\n"
-                  "  \"clock\": \"thread_cpu_min_of_%d\",\n"
-                  "  \"scenarios\": {\n", kIters, kReps);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"read_ns\": %.1f, \"read_allocs\": %.3f, "
-                 "\"accum_ns\": %.1f, \"accum_allocs\": %.3f}%s\n",
-                 r.scenario, r.read_ns, r.read_allocs, r.accum_ns,
-                 r.accum_allocs, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n  \"snapshot_all_1000\": {"
-                  "\"naive_per_set_ns\": %.1f, "
-                  "\"batched_per_set_ns\": %.1f, "
-                  "\"naive_allocs_per_pass\": %.3f, "
-                  "\"batched_allocs_per_pass\": %.3f}\n}\n",
-               snap.naive_per_set_ns, snap.batched_per_set_ns,
-               snap.naive_allocs_per_pass, snap.batched_allocs_per_pass);
-  std::fclose(f);
+  // The first set runs live, started after the others have stopped.
+  if (!library.event_set(handles[0]).value()->start().ok()) return {};
+  return handles;
 }
 
 }  // namespace
 
 int main() {
   bench::header("RH1", "steady-state read()/accum() hot-path cost");
-  std::printf("CPU ns (best of %d reps) and heap allocations per call "
-              "after start()\n(sim-x86, cost charging off; %d iterations "
-              "per cell):\n\n", kReps, kIters);
-  std::printf("%-14s %10s %12s %10s %12s\n", "scenario", "read_ns",
-              "read_allocs", "accum_ns", "accum_allocs");
+  std::printf("CPU ns per call (min of %d interleaved reps) and heap "
+              "allocations per call\nafter start() (sim-x86, cost "
+              "charging off; %d iterations per rep):\n\n", kReps, kIters);
+  bench::Report report("read_hotpath");
 
-  std::vector<Row> rows;
-  rows.push_back(run_direct());
-  rows.push_back(run_cross_component());
-  rows.push_back(run_folded());
-  rows.push_back(run_multiplexed());
-  rows.push_back(run_threaded("threaded_x4", 4));
-  rows.push_back(run_threaded("threaded_x16", 16));
-  rows.push_back(run_threaded("threaded_x32", 32));
-  rows.push_back(run_threaded("threaded_x64", 64));
-
-  for (const Row& r : rows) {
-    std::printf("%-16s %10.0f %12.3f %10.0f %12.3f\n", r.scenario,
-                r.read_ns, r.read_allocs, r.accum_ns, r.accum_allocs);
+  bench::LiveRig direct, cross, folded;
+  bench::LiveRig mux(sim::make_saxpy(50'000), pmu::sim_x86(),
+                     {.charge_costs = false});
+  sim::CommWorld world({cross.machine.get()});
+  setup_direct(direct);
+  setup_cross_component(cross, world);
+  setup_folded(folded);
+  setup_multiplexed(mux);
+  const std::vector<std::pair<const char*, bench::LiveRig*>> single = {
+      {"direct", &direct},
+      {"cross_component", &cross},
+      {"folded_24bit", &folded},
+      {"multiplexed", &mux}};
+  std::vector<bench::Op> ops;
+  for (const auto& [name, rig] : single) {
+    ops.push_back(rig->read());
+    ops.push_back(rig->accum());
   }
-  const SnapshotResult snap = run_snapshot_all();
+  const std::vector<bench::Stats> stats =
+      bench::measure_interleaved(ops, kIters, kReps);
+  for (const auto& [name, rig] : single) {
+    if (rig->set != nullptr) (void)rig->set->stop();
+  }
+
+  std::printf("%-16s %10s %12s %10s %12s\n", "scenario", "read_ns",
+              "read_allocs", "accum_ns", "accum_allocs");
+  auto row = [&](const char* name, const bench::Stats& read,
+                 const bench::Stats& accum) {
+    std::printf("%-16s %10.1f %12.3f %10.1f %12.3f%s\n", name, read.min_ns,
+                read.allocs, accum.min_ns, accum.allocs,
+                read.ran && accum.ran ? "" : "  (did not run)");
+    report.stats(name, "read", read);
+    report.stats(name, "accum", accum);
+  };
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    row(single[i].first, stats[2 * i], stats[2 * i + 1]);
+  }
+  for (const int n : {4, 16, 32, 64}) {
+    const std::string name = "threaded_x" + std::to_string(n);
+    const auto [read, accum] = run_threaded(n);
+    row(name.c_str(), read, accum);
+  }
+
+  // Batched snapshot over 1000 EventSets, the naive per-handle loop
+  // against one warm snapshot_all() pass, interleaved.
+  bench::LiveRig rig;
+  papi::Library& library = *rig.library;
+  const std::vector<int> handles = populate(library);
+  const bool populated = !handles.empty();
+  std::vector<long long> v(2);
+  std::vector<papi::SnapshotEntry> entries;
+  std::vector<long long> values;
+  bench::Op naive, batched;
+  if (populated) {
+    naive = [&] {
+      for (const int h : handles) (void)library.event_set(h).value()->read(v);
+    };
+    batched = [&] { (void)library.snapshot_all(entries, values); };
+  }
+  const std::vector<bench::Stats> passes =
+      bench::measure_interleaved({naive, batched}, kPasses, kPassReps);
+  const bench::Stats& naive_pass = passes[0];
+  const bench::Stats& batched_pass = passes[1];
+  const bool snapshot_complete = entries.size() == kSets;
+  if (populated) (void)library.event_set(handles[0]).value()->stop();
+  report.stats("snapshot_all_1000", "naive_pass", naive_pass);
+  report.stats("snapshot_all_1000", "batched_pass", batched_pass);
   std::printf("\nsnapshot_all over 1000 sets (1 live + 999 stopped): "
               "naive loop %.1f ns/set,\nbatched %.1f ns/set, batched "
-              "allocs/pass %.3f\n", snap.naive_per_set_ns,
-              snap.batched_per_set_ns, snap.batched_allocs_per_pass);
-  write_json(rows, snap);
+              "allocs/pass %.3f\n", naive_pass.min_ns / kSets,
+              batched_pass.min_ns / kSets, batched_pass.allocs);
   std::printf("\nallocs columns should read 0.000 in every steady-state "
               "row: the\nread/fold/mux-rotation buffers are preallocated "
-              "at start() and the\nretry wrapper is templated away.  "
-              "JSON written to BENCH_read_hotpath.json.\n");
+              "at start() and the\nretry wrapper is templated away.\n");
 
-  const Row& direct = rows[0];
-  const Row& cross = rows[1];
-  bool gate_ok = true;
-  // Gate 1: the direct read hot path stays at or under 20 ns CPU per
-  // call with zero allocations (seed was 36.9 ns wall; the epoch/flat
-  // layout work brought it to ~16 ns CPU).
-  if (direct.read_ns > 20.0 || direct.read_allocs != 0.0) {
-    std::printf("\nGATE FAIL: direct read %.1f ns (limit 20.0) / %.3f "
-                "allocs per call\n", direct.read_ns, direct.read_allocs);
-    gate_ok = false;
-  }
-  // Gate 2: a three-component read stays allocation-free and within 2x
-  // the single-component direct read (it does strictly more work —
-  // three slice reads — but the fan-out itself must add no hidden cost).
-  if (cross.read_allocs != 0.0) {
-    std::printf("\nGATE FAIL: cross_component read allocates "
-                "(%.3f allocs/call)\n", cross.read_allocs);
-    gate_ok = false;
-  }
-  if (direct.read_ns > 0 && cross.read_ns > 2.0 * direct.read_ns) {
-    std::printf("\nGATE FAIL: cross_component read %.0f ns exceeds 2x "
-                "direct read %.0f ns\n", cross.read_ns, direct.read_ns);
-    gate_ok = false;
-  }
-  // Gate 3: one snapshot_all pass beats the naive per-handle read loop
-  // and allocates nothing once its vectors are warm.
-  if (!snap.ok || snap.batched_per_set_ns >= snap.naive_per_set_ns ||
-      snap.batched_allocs_per_pass != 0.0) {
-    std::printf("\nGATE FAIL: snapshot_all %.1f ns/set vs naive %.1f "
-                "ns/set, %.3f allocs/pass\n", snap.batched_per_set_ns,
-                snap.naive_per_set_ns, snap.batched_allocs_per_pass);
-    gate_ok = false;
-  }
-  if (gate_ok) {
-    std::printf("gates: direct %.1f ns <= 20, cross %.0f ns <= 2x direct, "
-                "snapshot_all %.1f < naive %.1f ns/set, 0 allocs — OK\n",
-                direct.read_ns, cross.read_ns, snap.batched_per_set_ns,
-                snap.naive_per_set_ns);
-  }
-  return gate_ok ? 0 : 1;
+  // The direct read hot path stays at or under 20 ns CPU per call with
+  // zero allocations (seed was 36.9 ns wall; the epoch/flat layout work
+  // brought it to ~16 ns CPU).
+  const bench::Stats& direct_read = stats[0];
+  const bench::Stats& cross_read = stats[2];
+  report.at_most("direct_read_ns", direct_read, 20.0);
+  report.no_allocs("direct_read_allocs", direct_read);
+  // A three-component read stays allocation-free and within 2x the
+  // single-component direct read (it does strictly more work — three
+  // slice reads — but the fan-out itself must add no hidden cost).
+  report.no_allocs("cross_read_allocs", cross_read);
+  report.ratio_at_most("cross_vs_direct_read", cross_read, direct_read, 2.0);
+  // One snapshot_all pass beats the naive per-handle read loop and
+  // allocates nothing once its vectors are warm.
+  report.gate("batched_vs_naive_pass",
+              naive_pass.min_ns > 0 ? batched_pass.min_ns / naive_pass.min_ns
+                                    : 0,
+              1.0,
+              snapshot_complete && batched_pass.min_ns < naive_pass.min_ns,
+              {naive_pass, batched_pass});
+  report.no_allocs("batched_pass_allocs", batched_pass);
+  return report.finish();
 }

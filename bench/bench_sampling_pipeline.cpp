@@ -129,40 +129,6 @@ bool histograms_converge(std::uint64_t* sync_total,
          async_buf.buckets() == sync_buf.buckets();
 }
 
-void write_json(const std::vector<Row>& rows, bool converged,
-                std::uint64_t sync_total, std::uint64_t async_total,
-                std::uint64_t async_dropped) {
-  std::FILE* f = std::fopen("BENCH_sampling_pipeline.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_sampling_pipeline.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"sampling_pipeline\",\n"
-                  "  \"iters\": %lld,\n  \"modes\": {\n",
-               static_cast<long long>(kIters));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"cycles\": %llu, \"overhead_cycles\": "
-                 "%llu, \"overhead_pct\": %.2f, \"samples\": %llu, "
-                 "\"dropped\": %llu}%s\n",
-                 r.mode, static_cast<unsigned long long>(r.cycles),
-                 static_cast<unsigned long long>(r.overhead_cycles),
-                 r.overhead_pct,
-                 static_cast<unsigned long long>(r.samples),
-                 static_cast<unsigned long long>(r.dropped),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  },\n  \"convergence\": {\"exact\": %s, \"sync_total\": "
-               "%llu, \"async_total\": %llu, \"async_dropped\": %llu}\n}\n",
-               converged ? "true" : "false",
-               static_cast<unsigned long long>(sync_total),
-               static_cast<unsigned long long>(async_total),
-               static_cast<unsigned long long>(async_dropped));
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -201,8 +167,6 @@ int main() {
   const double async_pct = rows[3].overhead_pct;
   const double sync_pct = rows[2].overhead_pct;
   const double direct_pct = rows[1].overhead_pct;
-  const bool async_ok = async_pct <= 100 * kAsyncBudget;
-  const bool ordering_ok = async_pct < sync_pct && async_pct < direct_pct;
 
   std::printf("\nconvergence (costs off, threshold 2000): sync %llu vs "
               "async %llu + %llu dropped -> %s\n",
@@ -210,12 +174,24 @@ int main() {
               static_cast<unsigned long long>(async_total),
               static_cast<unsigned long long>(async_dropped),
               converged ? "identical" : "MISMATCH");
-  std::printf("async overhead %.2f%% (budget %.0f%%): %s\n", async_pct,
-              100 * kAsyncBudget, async_ok ? "PASS" : "FAIL");
-  std::printf("async < sync (%.2f%%) and async < direct (%.2f%%): %s\n",
-              sync_pct, direct_pct, ordering_ok ? "PASS" : "FAIL");
 
-  write_json(rows, converged, sync_total, async_total, async_dropped);
-  std::printf("\nJSON written to BENCH_sampling_pipeline.json.\n");
-  return (converged && async_ok && ordering_ok) ? 0 : 1;
+  bench::Report report("sampling_pipeline");
+  for (const Row& r : rows) {
+    report.value(r.mode, "cycles", r.cycles);
+    report.value(r.mode, "overhead_cycles", r.overhead_cycles);
+    report.value(r.mode, "overhead_pct", r.overhead_pct);
+    report.value(r.mode, "samples", r.samples);
+    report.value(r.mode, "dropped", r.dropped);
+  }
+  report.value("convergence", "sync_total", sync_total);
+  report.value("convergence", "async_total", async_total);
+  report.value("convergence", "async_dropped", async_dropped);
+  report.gate("async_overhead_pct", async_pct, 100 * kAsyncBudget,
+              async_pct <= 100 * kAsyncBudget);
+  report.gate("async_vs_sync_overhead", async_pct, sync_pct,
+              async_pct < sync_pct);
+  report.gate("async_vs_direct_overhead", async_pct, direct_pct,
+              async_pct < direct_pct);
+  report.gate("histograms_converge", converged ? 1 : 0, 1, converged);
+  return report.finish();
 }

@@ -2,212 +2,77 @@
 // whole design brief is "observability that costs ~nothing": the bump
 // path is a relaxed flag load plus a relaxed load/store pair on a
 // thread-private cache line, and the trace path one SPSC ring push.
-// This bench pins
-// that contract numerically — telemetry-enabled reads must stay within
-// 3 % of the disabled baseline, trace-ring recording within 10 % — and
-// fails the build (nonzero exit) when the budget is blown.  Timing
-// noise is strictly additive, so each scenario reports the *minimum*
-// over interleaved repetitions (the classic microbench estimator of
-// true cost); a small absolute floor keeps single-digit-nanosecond
-// jitter from tripping the relative gates on loaded CI runners.  Emits
+// This bench pins that contract numerically — telemetry-enabled reads
+// must stay within 3 % of the disabled baseline, trace-ring recording
+// within 10 % — and fails the build (nonzero exit) when the budget is
+// blown.  Timing noise is strictly additive, so each scenario reports
+// the *minimum* over interleaved repetitions (bench_util.h's harness); a
+// small absolute floor keeps single-digit-nanosecond jitter from
+// tripping the relative gates on loaded CI runners.  Emits
 // BENCH_telemetry_overhead.json.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/telemetry.h"
 
-// --- global operator-new counting -----------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 using namespace papirepro;
 
 namespace {
 
-constexpr int kIters = 100'000;
-constexpr int kReps = 9;
-// Relative budgets from the issue, plus an absolute floor: on a ~100 ns
-// call a couple of nanoseconds of timer noise is not a regression.
+// Many short reps, not a few long ones (see bench_util.h).
+constexpr int kIters = 5'000;
+constexpr int kReps = 180;
+// Relative budgets, plus an absolute floor: on a ~100 ns call a couple
+// of nanoseconds of timer noise is not a regression.
 constexpr double kEnabledBudget = 1.03;
 constexpr double kTraceBudget = 1.10;
 constexpr double kAbsSlackNs = 4.0;
-
-struct Scenario {
-  const char* name;
-  bench::Rig rig;
-  papi::EventSet* set = nullptr;
-  std::vector<long long> values;
-  std::vector<double> reps_ns;
-  double read_ns = 0;
-  double read_allocs = 0;
-
-  Scenario(const char* n)
-      : name(n),
-        rig(sim::make_empty_loop(10), pmu::sim_x86(),
-            {.charge_costs = false}) {}
-
-  bool prepare() {
-    set = &rig.new_set();
-    (void)set->add_preset(papi::Preset::kTotIns);
-    (void)set->add_preset(papi::Preset::kTotCyc);
-    if (!set->start().ok()) return false;
-    values.assign(set->num_events(), 0);
-    return true;
-  }
-};
-
-/// One timed repetition: (ns/call, allocs/call) over kIters reads.
-std::pair<double, double> time_reads(Scenario& s) {
-  for (int i = 0; i < 64; ++i) (void)s.set->read(s.values);
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kIters; ++i) (void)s.set->read(s.values);
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
-  return {
-      std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters,
-      static_cast<double>(a1 - a0) / kIters};
-}
-
-double best_of(const std::vector<double>& xs) {
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-void write_json(const std::vector<Scenario*>& scenarios, bool pass) {
-  std::FILE* f = std::fopen("BENCH_telemetry_overhead.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_telemetry_overhead.json\n");
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"telemetry_overhead\",\n"
-               "  \"iters\": %d,\n  \"reps\": %d,\n  \"scenarios\": {\n",
-               kIters, kReps);
-  const double base = scenarios[0]->read_ns;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& s = *scenarios[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"read_ns\": %.2f, \"read_allocs\": %.4f, "
-                 "\"vs_disabled\": %.4f}%s\n",
-                 s.name, s.read_ns, s.read_allocs,
-                 base > 0 ? s.read_ns / base : 0.0,
-                 i + 1 < scenarios.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
-}
 
 }  // namespace
 
 int main() {
   bench::header("TL1", "self-telemetry hot-path overhead");
-  std::printf("best-of read() ns over %d reps x %d iters (sim-x86, cost\n"
-              "charging off); gates: enabled <= disabled x %.2f, "
-              "trace <= disabled x %.2f,\nzero heap allocations:\n\n",
-              kReps, kIters, kEnabledBudget, kTraceBudget);
+  std::printf("min read() CPU ns over %d interleaved reps x %d iters "
+              "(sim-x86, cost\ncharging off); gates: enabled <= disabled "
+              "x %.2f, trace <= disabled x %.2f\n(+ %.0f ns each), zero "
+              "heap allocations:\n\n",
+              kReps, kIters, kEnabledBudget, kTraceBudget, kAbsSlackNs);
 
-  Scenario disabled("disabled");
-  Scenario enabled("enabled");
-  Scenario traced("trace");
-  disabled.rig.library->telemetry().set_enabled(false);
-  if (!disabled.rig.library->set_trace(false).ok() ||
-      !traced.rig.library->set_trace(true).ok()) {
-    std::fprintf(stderr, "set_trace failed\n");
-    return 1;
+  bench::LiveRig disabled, enabled, traced;
+  disabled.library->telemetry().set_enabled(false);
+  const bool trace_set = disabled.library->set_trace(false).ok() &&
+                         traced.library->set_trace(true).ok();
+  const char* const names[] = {"disabled", "enabled", "trace"};
+  std::vector<bench::Op> ops;
+  for (bench::LiveRig* rig : {&disabled, &enabled, &traced}) {
+    papi::EventSet& set = rig->new_set();
+    (void)set.add_preset(papi::Preset::kTotIns);
+    (void)set.add_preset(papi::Preset::kTotCyc);
+    if (trace_set) (void)rig->start(set);
+    ops.push_back(rig->read());
   }
-  std::vector<Scenario*> scenarios = {&disabled, &enabled, &traced};
-  for (Scenario* s : scenarios) {
-    if (!s->prepare()) {
-      std::fprintf(stderr, "%s: start() failed\n", s->name);
-      return 1;
-    }
-  }
+  const std::vector<bench::Stats> stats =
+      bench::measure_interleaved(ops, kIters, kReps);
 
-  // Interleave repetitions across scenarios so frequency drift hits all
-  // three equally instead of biasing whichever ran last.
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (Scenario* s : scenarios) {
-      auto [ns, allocs] = time_reads(*s);
-      s->reps_ns.push_back(ns);
-      s->read_allocs = std::max(s->read_allocs, allocs);
-    }
-  }
-  for (Scenario* s : scenarios) s->read_ns = best_of(s->reps_ns);
-
-  bool pass = true;
-  const double base = disabled.read_ns;
-  std::printf("%-10s %10s %12s %14s\n", "scenario", "read_ns",
-              "read_allocs", "vs_disabled");
-  for (Scenario* s : scenarios) {
-    std::printf("%-10s %10.1f %12.4f %13.3fx\n", s->name, s->read_ns,
-                s->read_allocs, base > 0 ? s->read_ns / base : 0.0);
+  bench::Report report("telemetry_overhead");
+  const bench::Stats& base = stats[0];
+  std::printf("%-10s %10s %10s %12s %14s\n", "scenario", "read_ns",
+              "median_ns", "read_allocs", "vs_disabled");
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    const bench::Stats& s = stats[i];
+    std::printf("%-10s %10.1f %10.1f %12.4f %13.3fx\n", names[i], s.min_ns,
+                s.median_ns, s.allocs,
+                base.min_ns > 0 ? s.min_ns / base.min_ns : 0.0);
+    report.stats(names[i], "read", s);
   }
 
-  if (enabled.read_ns > base * kEnabledBudget + kAbsSlackNs) {
-    std::fprintf(stderr,
-                 "FAIL: telemetry-enabled read %.1f ns exceeds budget "
-                 "(%.1f ns base, %.0f%% + %.0f ns slack)\n",
-                 enabled.read_ns, base, (kEnabledBudget - 1) * 100,
-                 kAbsSlackNs);
-    pass = false;
+  report.ratio_at_most("enabled_vs_disabled_read", stats[1], base,
+                       kEnabledBudget, kAbsSlackNs);
+  report.ratio_at_most("trace_vs_disabled_read", stats[2], base,
+                       kTraceBudget, kAbsSlackNs);
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    report.no_allocs(std::string(names[i]) + "_read_allocs", stats[i]);
   }
-  if (traced.read_ns > base * kTraceBudget + kAbsSlackNs) {
-    std::fprintf(stderr,
-                 "FAIL: trace-ring read %.1f ns exceeds budget "
-                 "(%.1f ns base, %.0f%% + %.0f ns slack)\n",
-                 traced.read_ns, base, (kTraceBudget - 1) * 100,
-                 kAbsSlackNs);
-    pass = false;
-  }
-  for (Scenario* s : scenarios) {
-    if (s->read_allocs > 0) {
-      std::fprintf(stderr, "FAIL: %s read path allocated (%.4f/call)\n",
-                   s->name, s->read_allocs);
-      pass = false;
-    }
-  }
-
-  write_json(scenarios, pass);
-  std::printf("\n%s — JSON written to BENCH_telemetry_overhead.json.\n",
-              pass ? "all gates green" : "BUDGET EXCEEDED");
-  return pass ? 0 : 1;
+  return report.finish();
 }

@@ -5,20 +5,18 @@
 // threads and takes zero lock-prefixed instructions; if that holds,
 // per-call cost stays flat as threads are added.
 //
-// Measurement uses CLOCK_THREAD_CPUTIME_ID (per-thread CPU time), not
-// wall clock: at 16/32/64 threads the machine is oversubscribed and wall
-// time measures the scheduler, not the library.  CPU time per call is
-// the honest scaling signal — cross-thread contention (lock waits show
-// as spinning, cache-line ping-pong as stalls) inflates it, scheduling
-// delay does not.
+// Measurement uses the thread-CPU clock, not wall clock: at 16/32/64
+// threads the machine is oversubscribed and wall time measures the
+// scheduler, not the library.  CPU time per call is the honest scaling
+// signal — cross-thread contention (lock waits show as spinning,
+// cache-line ping-pong as stalls) inflates it, scheduling delay does not.
+// Every thread count runs once per rep, reps interleaved across counts,
+// so the 1-thread and 64-thread figures the gate compares are taken side
+// by side rather than seconds apart.
 //
 // Emits BENCH_thread_scaling.json and exit-gates the headline claim:
 // per-read CPU cost at 64 threads within 1.25x of single-threaded.
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -27,112 +25,48 @@ using namespace papirepro;
 
 namespace {
 
-/// Per-thread CPU nanoseconds (Linux); falls back to wall time where the
-/// thread clock is unavailable.
-std::uint64_t thread_cpu_ns() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  }
-#endif
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+constexpr int kReps = 5;
+// Every sample times the same kWorkers threads, n of them at a time, so
+// the 1-thread and the 64-thread figures are means over equally many
+// measured windows and differ only in how many threads run at once.
+constexpr int kWorkers = 64;
+constexpr int kReadIters = 20'000;
+constexpr int kPairIters = 2'000;
 
-struct HotPathCosts {
-  double read_ns = 0;
-  double start_stop_ns = 0;
-};
-
-// One thread's measurement loop over its own machine + EventSet.  All
-// threads arm, then spin on the shared release gate so the measured
-// windows overlap — contention, if any exists, is actually exercised.
-HotPathCosts measure_thread(papi::Library& library,
-                            papi::SimSubstrate& substrate,
-                            sim::Machine& machine, int read_iters,
-                            int pair_iters, std::atomic<int>& armed,
-                            std::atomic<bool>& go) {
-  substrate.bind_thread_machine(machine);
-  auto handle = library.create_event_set();
-  papi::EventSet* set = library.event_set(handle.value()).value();
-  (void)set->add_preset(papi::Preset::kTotIns);
-
-  HotPathCosts costs;
-  long long v[1];
-  if (!set->start().ok()) return costs;
-  armed.fetch_add(1, std::memory_order_acq_rel);
-  while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  const std::uint64_t t0 = thread_cpu_ns();
-  for (int i = 0; i < read_iters; ++i) (void)set->read(v);
-  const std::uint64_t t1 = thread_cpu_ns();
-  (void)set->stop();
-
-  const std::uint64_t t2 = thread_cpu_ns();
-  for (int i = 0; i < pair_iters; ++i) {
-    (void)set->start();
-    (void)set->stop();
-  }
-  const std::uint64_t t3 = thread_cpu_ns();
-
-  costs.read_ns = static_cast<double>(t1 - t0) / read_iters;
-  costs.start_stop_ns = static_cast<double>(t3 - t2) / pair_iters;
-  (void)library.destroy_event_set(handle.value());
-  (void)library.unregister_thread();
-  return costs;
-}
-
-HotPathCosts run_at(int num_threads) {
-  // Scale iterations down as threads go up so the oversubscribed runs
-  // finish promptly; per-thread CPU time stays well above the thread
-  // clock's resolution either way.
-  const int read_iters = num_threads >= 16 ? 20'000 : 50'000;
-  const int pair_iters = num_threads >= 16 ? 2'000 : 10'000;
-
-  // Per-thread machines over a tiny workload; costs off so the clock
-  // measures the library layer, not the simulated syscall model.
-  std::vector<sim::Workload> workloads;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  for (int t = 0; t < num_threads; ++t) {
-    workloads.push_back(sim::make_empty_loop(10));
-    machines.push_back(std::make_unique<sim::Machine>(
-        workloads.back().program, pmu::sim_x86().machine));
-  }
-  auto owned = std::make_unique<papi::SimSubstrate>(
-      *machines[0], pmu::sim_x86(),
-      papi::SimSubstrateOptions{.charge_costs = false});
-  papi::SimSubstrate* substrate = owned.get();
-  papi::Library library(std::move(owned));
-
-  std::atomic<int> armed{0};
-  std::atomic<bool> go{false};
-  std::vector<HotPathCosts> per_thread(num_threads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&, t] {
-      per_thread[t] = measure_thread(library, *substrate, *machines[t],
-                                     read_iters, pair_iters, armed, go);
+/// One sample at `num_threads` threads: the mean over the workers of
+/// each one's CPU ns per read (or per start+stop pair).  Not run when
+/// any worker's set failed to start.
+bench::Sample run_at(int num_threads, bool start_stop) {
+  bench::SharedRig rig(kWorkers);
+  std::vector<bench::Sample> per_worker(kWorkers);
+  for (int first = 0; first < kWorkers; first += num_threads) {
+    bench::run_threads(num_threads, [&](int t, const auto& arm) {
+      const int w = first + t;
+      papi::EventSet& set = rig.thread_set(w);
+      if (!set.start().ok()) return;
+      long long v[1];
+      if (start_stop) (void)set.stop();
+      arm();
+      per_worker[w] =
+          start_stop ? bench::time_calls(
+                           [&] {
+                             (void)set.start();
+                             (void)set.stop();
+                           },
+                           kPairIters)
+                     : bench::time_calls([&] { (void)set.read(v); },
+                                         kReadIters);
+      if (!start_stop) (void)set.stop();
+      (void)rig.library->destroy_event_set(set.handle());
+      (void)rig.library->unregister_thread();
     });
   }
-  while (armed.load(std::memory_order_acquire) < num_threads) {
-    std::this_thread::yield();
+  bench::Sample mean{0, 0};
+  for (const bench::Sample& s : per_worker) {
+    if (s.ns < 0) return {};
+    mean.ns += s.ns / kWorkers;
+    mean.allocs += s.allocs / kWorkers;
   }
-  go.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-
-  HotPathCosts mean;
-  for (const HotPathCosts& c : per_thread) {
-    mean.read_ns += c.read_ns;
-    mean.start_stop_ns += c.start_stop_ns;
-  }
-  mean.read_ns /= num_threads;
-  mean.start_stop_ns /= num_threads;
-  std::printf("%8d %14.0f %18.0f\n", num_threads, mean.read_ns,
-              mean.start_stop_ns);
   return mean;
 }
 
@@ -140,47 +74,37 @@ HotPathCosts run_at(int num_threads) {
 
 int main() {
   bench::header("TS1", "per-thread hot-path cost vs thread count");
-  std::printf("mean CPU ns per call (CLOCK_THREAD_CPUTIME_ID), each "
+  std::printf("mean CPU ns per call (min of %d interleaved reps), each "
               "thread driving\nits own EventSet through one shared "
-              "Library (sim-x86, cost charging\noff):\n\n");
+              "Library (sim-x86, cost charging\noff):\n\n", kReps);
+  const std::vector<int> counts = {1, 2, 4, 8, 16, 32, 64};
+  std::vector<bench::Sampler> samplers;
+  for (const bool start_stop : {false, true}) {
+    for (const int n : counts) {
+      samplers.push_back([n, start_stop] { return run_at(n, start_stop); });
+    }
+  }
+  const std::vector<bench::Stats> stats = bench::interleave(samplers, kReps);
+  const std::size_t k = counts.size();
+
+  bench::Report report("thread_scaling");
   std::printf("%8s %14s %18s\n", "threads", "read_cpu_ns",
               "start+stop_cpu_ns");
-  const std::vector<int> counts = {1, 2, 4, 8, 16, 32, 64};
-  std::vector<HotPathCosts> rows;
-  for (const int n : counts) rows.push_back(run_at(n));
+  for (std::size_t i = 0; i < k; ++i) {
+    std::printf("%8d %14.1f %18.1f\n", counts[i], stats[i].min_ns,
+                stats[k + i].min_ns);
+    const std::string name = "threads_x" + std::to_string(counts[i]);
+    report.stats(name, "read", stats[i]);
+    report.stats(name, "start_stop", stats[k + i]);
+  }
   std::printf("\nFlat columns = the counter hot path stays per-thread "
               "(lock-free\nregistry scans + uncontended CAS); growth "
               "would mean cross-thread\ncontention crept back in.\n");
 
-  std::FILE* f = std::fopen("BENCH_thread_scaling.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"thread_scaling\",\n"
-                    "  \"clock\": \"thread_cpu\",\n  \"scenarios\": {\n");
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      std::fprintf(f,
-                   "    \"threads_x%d\": {\"read_ns\": %.1f, "
-                   "\"start_stop_ns\": %.1f}%s\n",
-                   counts[i], rows[i].read_ns, rows[i].start_stop_ns,
-                   i + 1 < counts.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "cannot write BENCH_thread_scaling.json\n");
-  }
-
-  // Exit gate: per-read CPU cost at 64 threads within 1.25x of the
-  // single-thread baseline.  CPU time excludes scheduler wait, so this
-  // holds on oversubscribed CI boxes iff the read path truly shares no
-  // contended state.
-  const double x1 = rows.front().read_ns;
-  const double x64 = rows.back().read_ns;
-  if (x1 > 0 && x64 > 1.25 * x1) {
-    std::printf("\nGATE FAIL: 64-thread read %.0f ns exceeds 1.25x "
-                "single-thread %.0f ns\n", x64, x1);
-    return 1;
-  }
-  std::printf("\ngate: 64-thread read %.0f ns <= 1.25x single-thread "
-              "%.0f ns — OK\n", x64, x1);
-  return 0;
+  // Per-read CPU cost at 64 threads within 1.25x of the single-thread
+  // baseline.  CPU time excludes scheduler wait, so this holds on
+  // oversubscribed CI boxes iff the read path truly shares no contended
+  // state.
+  report.ratio_at_most("read_x64_vs_x1", stats[k - 1], stats[0], 1.25);
+  return report.finish();
 }

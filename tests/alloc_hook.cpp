@@ -1,7 +1,10 @@
 // Global operator-new counting hook for the test binary (declared in
-// test_util.h).  Every replaceable allocation function funnels through a
-// relaxed atomic counter, so tests can assert that a code path performs
-// zero heap allocations — the steady-state counter hot-path guarantee.
+// test_util.h) and the bench binaries (bench_util.h).  Every replaceable
+// allocation function funnels through a relaxed atomic counter, so tests
+// can assert that a code path performs zero heap allocations — the
+// steady-state counter hot-path guarantee.
+// A per-thread count beside it lets a bench that measures on several
+// threads at once charge each thread only its own allocations.
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -10,11 +13,14 @@ namespace papirepro::test {
 
 namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
+thread_local std::uint64_t t_allocation_count = 0;
 }  // namespace
 
 std::uint64_t allocation_count() {
   return g_allocation_count.load(std::memory_order_relaxed);
 }
+
+std::uint64_t thread_allocation_count() { return t_allocation_count; }
 
 }  // namespace papirepro::test
 
@@ -23,12 +29,14 @@ namespace {
 void* counted_alloc(std::size_t size) {
   papirepro::test::g_allocation_count.fetch_add(1,
                                                 std::memory_order_relaxed);
+  ++papirepro::test::t_allocation_count;
   return std::malloc(size ? size : 1);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   papirepro::test::g_allocation_count.fetch_add(1,
                                                 std::memory_order_relaxed);
+  ++papirepro::test::t_allocation_count;
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) !=
       0) {
