@@ -28,27 +28,10 @@ namespace papirepro::aggregate {
 inline constexpr std::uint32_t kRegionMagic = 0x52534350u;  // "PCSR"
 inline constexpr std::uint32_t kRegionVersion = 1;
 
-/// Plain copy of one metric row a reader extracts from the region.
-struct RegionMetric {
-  long long min = 0;
-  long long max = 0;
-  long long sum = 0;
-  double avg = 0.0;
-  std::uint64_t count = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p95 = 0;
-  std::uint64_t p99 = 0;
-};
-
-/// Plain consistent snapshot read_into() fills for a reader.
-struct RegionSnapshot {
-  std::uint64_t reduce_count = 0;
-  std::uint64_t now_cycles = 0;
-  std::uint32_t ranks_live = 0;
-  std::uint32_t ranks_stale = 0;
-  std::uint32_t num_metrics = 0;
-  std::array<RegionMetric, kMaxMetrics> metrics{};
-};
+/// What a reader copies out of the region: the reduction that was
+/// published, in the collector's own types.
+using RegionMetric = MetricStats;
+using RegionSnapshot = ClusterReduction;
 
 class SharedSnapshotRegion {
  public:
@@ -98,7 +81,7 @@ class SharedSnapshotRegion {
   /// Copies the latest consistent snapshot into `out`.  Returns false
   /// when `max_attempts` seqlock brackets all raced the writer (the
   /// caller keeps its previous copy) or the region header is invalid.
-  bool read_into(RegionSnapshot& out,
+  bool read_into(ClusterReduction& out,
                  int max_attempts = 64) const noexcept {
     if (!valid()) return false;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
@@ -113,7 +96,7 @@ class SharedSnapshotRegion {
       out.num_metrics = m;
       for (std::uint32_t i = 0; i < m; ++i) {
         const MetricCells& c = metrics_[i];
-        RegionMetric& rm = out.metrics[i];
+        MetricStats& rm = out.metrics[i];
         rm.min = c.min.load(std::memory_order_relaxed);
         rm.max = c.max.load(std::memory_order_relaxed);
         rm.sum = c.sum.load(std::memory_order_relaxed);

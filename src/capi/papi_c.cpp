@@ -36,6 +36,9 @@ namespace papi = papirepro::papi;
 namespace sim = papirepro::sim;
 namespace pmu = papirepro::pmu;
 
+static_assert(PAPIREPRO_MAX_COMPONENTS == papi::kMaxComponents,
+              "the C API's per-component arrays are the registry's cap");
+
 int to_code(Status s) { return static_cast<int>(s.error()); }
 int to_code(Error e) { return static_cast<int>(e); }
 
@@ -285,9 +288,8 @@ int PAPIrepro_set_retry(int max_attempts,
 }
 
 int PAPIrepro_alloc_cache_stats(PAPIrepro_alloc_cache_stats_t* out) {
-  // Compat wrapper: the allocation-memo counters now live in the
-  // library-wide telemetry registry; this entry point reads the same
-  // snapshot PAPIrepro_get_telemetry does.
+  // Compat wrapper: reads the same snapshot PAPIrepro_get_telemetry
+  // does, whose alloc-cache cells come from the cache's own counts.
   if (out == nullptr) return PAPI_EINVAL;
   if (g().library == nullptr) return PAPI_ENOINIT;
   const papi::TelemetrySnapshot snap = g().library->telemetry_snapshot();
@@ -314,9 +316,9 @@ int PAPIrepro_set_sampling(int async_enable,
 }
 
 int PAPIrepro_sampling_stats(PAPIrepro_sampling_stats_t* out) {
-  // Compat wrapper over the telemetry snapshot: pipeline counters come
-  // from the registry, the ring/aggregator gauges ride along in the
-  // same snapshot, so this and PAPIrepro_get_telemetry can never
+  // Compat wrapper over the telemetry snapshot: the pipeline counters
+  // and the ring/aggregator gauges come from the rings and aggregator
+  // in the same snapshot, so this and PAPIrepro_get_telemetry can never
   // disagree mid-run.
   if (out == nullptr) return PAPI_EINVAL;
   if (g().library == nullptr) return PAPI_ENOINIT;
@@ -690,6 +692,33 @@ std::span<papi::SnapshotEntry> snapshot_scratch(std::size_t n) {
   if (scratch.size() < n) scratch.resize(n);
   return {scratch.data(), n};
 }
+
+/// Copies batch rows out to their C form, one row per `in` entry.
+void export_entries(std::span<const papi::SnapshotEntry> in,
+                    PAPIrepro_snapshot_t* out) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i].event_set = in[i].handle;
+    out[i].first_value = static_cast<int>(in[i].first_value);
+    out[i].num_values = static_cast<int>(in[i].num_values);
+    out[i].status = to_code(in[i].status);
+    out[i].flags = static_cast<int>(in[i].flags);
+    out[i].pub_cycles = static_cast<long long>(in[i].pub_cycles);
+  }
+}
+
+/// Copies C rows back into SnapshotEntry form, every field of every row
+/// of `out`.
+void import_entries(const PAPIrepro_snapshot_t* in,
+                    std::span<papi::SnapshotEntry> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].handle = in[i].event_set;
+    out[i].first_value = static_cast<std::uint32_t>(in[i].first_value);
+    out[i].num_values = static_cast<std::uint32_t>(in[i].num_values);
+    out[i].status = static_cast<Error>(in[i].status);
+    out[i].flags = static_cast<std::uint32_t>(in[i].flags);
+    out[i].pub_cycles = static_cast<std::uint64_t>(in[i].pub_cycles);
+  }
+}
 }  // namespace
 
 int PAPI_add_event(int event_set, int event_code) {
@@ -788,14 +817,7 @@ int PAPIrepro_read_many(const int* event_sets, int count, long long* values,
       {event_sets, static_cast<std::size_t>(count)},
       {values, static_cast<std::size_t>(values_capacity)}, scratch);
   if (!s.ok()) return to_code(s);
-  for (int i = 0; i < count; ++i) {
-    entries[i].event_set = scratch[i].handle;
-    entries[i].first_value = static_cast<int>(scratch[i].first_value);
-    entries[i].num_values = static_cast<int>(scratch[i].num_values);
-    entries[i].status = to_code(scratch[i].status);
-    entries[i].flags = static_cast<int>(scratch[i].flags);
-    entries[i].pub_cycles = static_cast<long long>(scratch[i].pub_cycles);
-  }
+  export_entries(scratch, entries);
   return PAPI_OK;
 }
 
@@ -814,14 +836,7 @@ int PAPIrepro_snapshot_all(PAPIrepro_snapshot_t* entries, int max_entries,
       {values, static_cast<std::size_t>(values_capacity)}, &entries_used,
       nullptr);
   if (!s.ok()) return to_code(s);
-  for (std::size_t i = 0; i < entries_used; ++i) {
-    entries[i].event_set = scratch[i].handle;
-    entries[i].first_value = static_cast<int>(scratch[i].first_value);
-    entries[i].num_values = static_cast<int>(scratch[i].num_values);
-    entries[i].status = to_code(scratch[i].status);
-    entries[i].flags = static_cast<int>(scratch[i].flags);
-    entries[i].pub_cycles = static_cast<long long>(scratch[i].pub_cycles);
-  }
+  export_entries(scratch.first(entries_used), entries);
   return static_cast<int>(entries_used);
 }
 
@@ -992,25 +1007,7 @@ int PAPIrepro_collector_read(int collector,
   if (state == nullptr) return PAPI_ENOEVST;
   aggregate::RegionSnapshot snap;
   if (!state->region.read_into(snap)) return PAPI_ESYS;
-  out->now_cycles = static_cast<long long>(snap.now_cycles);
-  out->reduce_count = static_cast<long long>(snap.reduce_count);
-  out->ranks_live = static_cast<int>(snap.ranks_live);
-  out->ranks_stale = static_cast<int>(snap.ranks_stale);
-  out->num_metrics = static_cast<int>(snap.num_metrics);
-  for (std::uint32_t i = 0;
-       i < snap.num_metrics && i < PAPIREPRO_COLLECTOR_MAX_METRICS;
-       ++i) {
-    const aggregate::RegionMetric& m = snap.metrics[i];
-    PAPIrepro_metric_stats_t& o = out->metrics[i];
-    o.min = m.min;
-    o.max = m.max;
-    o.sum = m.sum;
-    o.avg = m.avg;
-    o.count = static_cast<long long>(m.count);
-    o.p50 = static_cast<long long>(m.p50);
-    o.p95 = static_cast<long long>(m.p95);
-    o.p99 = static_cast<long long>(m.p99);
-  }
+  fill_view(snap, *out);
   return PAPI_OK;
 }
 
@@ -1023,21 +1020,9 @@ int PAPIrepro_wire_encode(unsigned int rank, long long frame_cycles,
       (values == nullptr && num_values != 0)) {
     return PAPI_EINVAL;
   }
-  // Marshal the C snapshot rows back into SnapshotEntry form (every
-  // field of every row is written below).
   const std::span<papi::SnapshotEntry> scratch =
       snapshot_scratch(static_cast<std::size_t>(num_entries));
-  for (int i = 0; i < num_entries; ++i) {
-    scratch[i].handle = entries[i].event_set;
-    scratch[i].first_value =
-        static_cast<std::uint32_t>(entries[i].first_value);
-    scratch[i].num_values =
-        static_cast<std::uint32_t>(entries[i].num_values);
-    scratch[i].status = static_cast<Error>(entries[i].status);
-    scratch[i].flags = static_cast<std::uint32_t>(entries[i].flags);
-    scratch[i].pub_cycles =
-        static_cast<std::uint64_t>(entries[i].pub_cycles);
-  }
+  import_entries(entries, scratch);
   thread_local std::vector<std::uint8_t> frame;
   frame.clear();
   if (!aggregate::encode_frame(

@@ -1,6 +1,5 @@
 #include "core/allocation_cache.h"
 
-#include "core/telemetry.h"
 #include "substrate/substrate.h"
 
 namespace papirepro::papi {
@@ -39,9 +38,6 @@ Result<std::vector<std::uint32_t>> AllocationCache::allocate(
   Key key{component,
           {events.begin(), events.end()},
           {priorities.begin(), priorities.end()}};
-  TelemetryRegistry* telemetry =
-      telemetry_.load(std::memory_order_relaxed);
-
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t generation = substrate.allocation_generation();
   if (generation != generations_[component]) {
@@ -59,18 +55,12 @@ Result<std::vector<std::uint32_t>> AllocationCache::allocate(
         ++it;
       }
     }
-    if (erased) {
-      ++stats_.invalidations;
-      if (telemetry) {
-        telemetry->bump(TelemetryCounter::kAllocCacheInvalidations);
-      }
-    }
+    if (erased) ++stats_.invalidations;
     generations_[component] = generation;
   }
 
   if (const auto it = index_.find(key); it != index_.end()) {
     ++stats_.hits;
-    if (telemetry) telemetry->bump(TelemetryCounter::kAllocCacheHits);
     lru_.splice(lru_.begin(), lru_, it->second);
     const CachedSolve& solve = it->second->second;
     if (solve.error != Error::kOk) return solve.error;
@@ -78,7 +68,6 @@ Result<std::vector<std::uint32_t>> AllocationCache::allocate(
   }
 
   ++stats_.misses;
-  if (telemetry) telemetry->bump(TelemetryCounter::kAllocCacheMisses);
   auto solved = substrate.allocate(events, priorities);
   CachedSolve entry;
   if (solved.ok()) {
@@ -92,7 +81,6 @@ Result<std::vector<std::uint32_t>> AllocationCache::allocate(
     index_.erase(lru_.back().first);
     lru_.pop_back();
     ++stats_.evictions;
-    if (telemetry) telemetry->bump(TelemetryCounter::kAllocCacheEvictions);
   }
   return solved;
 }

@@ -24,7 +24,6 @@
 // read hot path.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -41,7 +40,6 @@
 namespace papirepro::papi {
 
 class Substrate;
-class TelemetryRegistry;
 
 class AllocationCache {
  public:
@@ -49,6 +47,8 @@ class AllocationCache {
 
   explicit AllocationCache(std::size_t capacity = kDefaultCapacity);
 
+  /// The only count of these outcomes: the telemetry snapshot's
+  /// alloc_cache_* counters are read from here.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -70,12 +70,6 @@ class AllocationCache {
   void clear();
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Mirrors hit/miss/eviction/invalidation counts into the library-wide
-  /// registry, which outlives the cache.  Called once by the Library.
-  void bind_telemetry(TelemetryRegistry* telemetry) noexcept {
-    telemetry_.store(telemetry, std::memory_order_relaxed);
-  }
-
  private:
   struct Key {
     std::uint32_t component = 0;
@@ -92,7 +86,6 @@ class AllocationCache {
   };
   using LruList = std::list<std::pair<Key, CachedSolve>>;
 
-  std::atomic<TelemetryRegistry*> telemetry_{nullptr};
   mutable std::mutex mutex_;
   std::size_t capacity_;
   /// Last-seen allocation generation per component id.

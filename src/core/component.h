@@ -23,7 +23,7 @@ class Substrate;
 
 /// Hard cap on registered components: the component id must fit the
 /// 7-bit event-code field, and telemetry keeps a fixed per-component
-/// counter block per thread slab (kTelemetryMaxComponents must match).
+/// counter block of this size per thread slab.
 inline constexpr std::uint32_t kMaxComponents = 8;
 
 /// Snapshot of one registered component, as surfaced by the

@@ -385,25 +385,20 @@ Status EventSet::arm_overflow(std::size_t config_index) {
     // allocation-free ring enqueue; the aggregator runs the heavy half.
     // The callback co-owns the ring — a late delivery after this run's
     // ring is replaced pushes into a detached (but live) ring and is
-    // simply never drained.
+    // simply never drained nor counted.  The ring counts its own pushes
+    // and drops; no trace record here — tracing reads the counting
+    // thread's clock, and deferred delivery may run elsewhere.
     std::shared_ptr<SampleRing> ring = sample_ring_;
     const auto idx = static_cast<std::uint32_t>(config_index);
-    // The registry outlives every armed callback (it is the Library's
-    // first member); counter bumps are safe from the delivery context,
-    // but no trace record here — tracing reads the counting thread's
-    // clock, and deferred delivery may run elsewhere.
-    TelemetryRegistry* telemetry = &library_.telemetry();
     armed = context_->set_overflow(
         event_index, config->threshold,
-        [ring, idx, telemetry](const SubstrateOverflow& o) {
-          const bool pushed = ring->try_push(SampleRecord{
+        [ring, idx](const SubstrateOverflow& o) {
+          (void)ring->try_push(SampleRecord{
               .config_index = idx,
               .has_precise = o.has_precise ? 1u : 0u,
               .pc_observed = o.pc_observed,
               .pc_precise = o.pc_precise,
               .addr = o.addr});
-          telemetry->bump(pushed ? TelemetryCounter::kSamplesEnqueued
-                                 : TelemetryCounter::kSamplesDropped);
         },
         OverflowDeliveryMode::kDeferred);
   } else {
@@ -956,25 +951,6 @@ Status EventSet::read(std::span<long long> out) {
                     static_cast<std::uint64_t>(handle_));
   }
   return s;
-}
-
-Status EventSet::read_many(std::span<EventSet* const> sets,
-                           std::span<long long> values,
-                           std::span<SnapshotEntry> entries,
-                           std::size_t* values_used) {
-  if (values_used != nullptr) *values_used = 0;
-  if (sets.empty()) return Error::kOk;
-  if (entries.size() < sets.size()) return Error::kInvalid;
-  Library* library = nullptr;
-  for (EventSet* set : sets) {
-    if (set == nullptr) return Error::kInvalid;
-    if (library == nullptr) {
-      library = &set->library_;
-    } else if (&set->library_ != library) {
-      return Error::kInvalid;  // one batch, one library
-    }
-  }
-  return library->read_many(sets, values, entries, values_used);
 }
 
 Status EventSet::accum(std::span<long long> inout) {

@@ -75,7 +75,7 @@ inline constexpr std::uint32_t kPublished = 0x8;
 inline constexpr std::uint32_t kNoData = 0x10;
 }  // namespace read_flag
 
-/// One set's result within a batched read (Library::read_many /
+/// One set's result within a batched read (Library::read_many_handles /
 /// Library::snapshot_all): where its values landed in the shared values
 /// buffer, its per-set status, and the OR-fold of its events'
 /// read_flag::* bits.
@@ -178,19 +178,6 @@ class EventSet {
   /// Adds current values into `inout` and resets the counters.
   Status accum(std::span<long long> inout);
   Status reset();
-
-  /// Batched read over `sets` (all from the same Library): one
-  /// thread-state resolve and one epoch pin amortized across every set.
-  /// Sets running on the calling thread are read live; all others are
-  /// served from their seqlock publication (read_flag::kPublished).
-  /// Values pack consecutively per set into `values`; `entries[i]`
-  /// records set i's window, status, and flags.  kInvalid when entries
-  /// is smaller than sets, the sets span libraries, or values runs out
-  /// of capacity.  Zero-allocation.
-  static Status read_many(std::span<EventSet* const> sets,
-                          std::span<long long> values,
-                          std::span<SnapshotEntry> entries,
-                          std::size_t* values_used = nullptr);
 
   // --- overflow dispatch ---
   /// Arms overflow on `id` (must be a non-derived member event; not

@@ -63,7 +63,6 @@ bool HealthMonitor::transition(HealthState from, HealthState to) noexcept {
   }
   transitions_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr) {
-    telemetry_->bump(TelemetryCounter::kHealthTransitions);
     telemetry_->trace_instant(
         TraceEventKind::kHealth,
         clock_ != nullptr ? clock_->real_cycles() : 0,
@@ -126,17 +125,11 @@ Status HealthMonitor::admit_slow(HealthState s) noexcept {
         return Error::kOk;
       case HealthState::kProbation:
         probes_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry_ != nullptr) {
-          telemetry_->bump(TelemetryCounter::kHealthProbes);
-        }
         return Error::kOk;
       case HealthState::kQuarantined: {
         if (now_usec() <
             quarantine_until_usec_.load(std::memory_order_relaxed)) {
           fail_fasts_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_ != nullptr) {
-            telemetry_->bump(TelemetryCounter::kHealthFailFasts);
-          }
           return Error::kComponentQuarantined;
         }
         // Cool-down elapsed: one CAS winner flips to Probation; losers
@@ -277,7 +270,6 @@ void HealthMonitor::force_healthy() noexcept {
   if (from != HealthState::kHealthy) {
     transitions_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry_ != nullptr) {
-      telemetry_->bump(TelemetryCounter::kHealthTransitions);
       telemetry_->trace_instant(
           TraceEventKind::kHealth,
           clock_ != nullptr ? clock_->real_cycles() : 0,

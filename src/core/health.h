@@ -30,7 +30,7 @@
 // the failure window is a 64-bit bitmask shifted in by CAS; counters
 // are relaxed atomics.  Racing recorders may both observe a trip
 // condition, but the CAS ensures exactly one performs each transition
-// (and bumps the transition telemetry).  The Healthy fast paths —
+// (and counts and traces it).  The Healthy fast paths —
 // admit() and record(kOk) — are one relaxed load each and never touch
 // the clock, keeping the steady-state read hot path at its budget.
 #pragma once
@@ -103,8 +103,10 @@ class HealthMonitor {
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Wires the monitor to its telemetry sink, the clock it uses for
-  /// cool-down arithmetic, and its component id (for trace args).
+  /// Wires the monitor to the registry its transitions are traced into,
+  /// the clock it uses for cool-down arithmetic, and its component id
+  /// (for trace args).  The lifetime counts stay here; the library's
+  /// telemetry snapshot sums them over components.
   /// Called once at component registration, before any concurrent use.
   void bind(TelemetryRegistry* telemetry, Substrate* clock,
             std::uint32_t component) noexcept {
@@ -149,8 +151,8 @@ class HealthMonitor {
  private:
   Status admit_slow(HealthState s) noexcept;
   void record_slow(Error outcome, HealthState s) noexcept;
-  /// CAS `from` -> `to`; on success accounts the transition (telemetry
-  /// counter + trace record) and returns true.
+  /// CAS `from` -> `to`; on success accounts the transition (lifetime
+  /// count + trace record) and returns true.
   bool transition(HealthState from, HealthState to) noexcept;
   /// Pushes one op into the sliding window (bit 0 = newest; 1 = fail).
   void window_push(bool failed) noexcept;

@@ -54,8 +54,6 @@ Library::Library(std::unique_ptr<Substrate> substrate)
   assert(added.ok());
   (void)added;
   substrate_->bind_telemetry(&telemetry_);
-  alloc_cache_.bind_telemetry(&telemetry_);
-  sampling_.bind_telemetry(&telemetry_);
   // Component 0's health monitor uses the CPU substrate as its cool-down
   // clock (every component does — one time base for the whole breaker).
   components_.at(0)->health.bind(&telemetry_, substrate_, 0);
@@ -92,13 +90,35 @@ Library::~Library() {
 TelemetrySnapshot Library::telemetry_snapshot() const {
   TelemetrySnapshot snap = telemetry_.snapshot();
   snap.num_components = components_.size();
-  snap.alloc_cache_entries = alloc_cache_.stats().entries;
+  // The owner-read counters: each subsystem's own count is the only one.
+  const auto set = [&snap](TelemetryCounter c, std::uint64_t v) {
+    snap.counters[static_cast<std::size_t>(c)] = v;
+  };
+  const AllocationCache::Stats cache = alloc_cache_.stats();
+  set(TelemetryCounter::kAllocCacheHits, cache.hits);
+  set(TelemetryCounter::kAllocCacheMisses, cache.misses);
+  set(TelemetryCounter::kAllocCacheEvictions, cache.evictions);
+  set(TelemetryCounter::kAllocCacheInvalidations, cache.invalidations);
+  snap.alloc_cache_entries = cache.entries;
   const SamplingStats sampling = sampling_.stats();
+  set(TelemetryCounter::kSamplesEnqueued, sampling.enqueued);
+  set(TelemetryCounter::kSamplesDropped, sampling.dropped);
+  set(TelemetryCounter::kSamplesDispatched, sampling.dispatched);
   snap.sampling_sweeps = sampling.sweeps;
   snap.sampling_flushes = sampling.flushes;
   snap.sampling_rings_active = sampling.rings_active;
   snap.sampling_ring_capacity = sampling.ring_capacity;
   snap.sampling_async = sampling.async;
+  ComponentHealth health_total;
+  for (std::uint32_t id = 0; id < components_.size(); ++id) {
+    const ComponentHealth h = components_.at(id)->health.snapshot();
+    health_total.transitions += h.transitions;
+    health_total.fail_fasts += h.fail_fasts;
+    health_total.probes += h.probes;
+  }
+  set(TelemetryCounter::kHealthTransitions, health_total.transitions);
+  set(TelemetryCounter::kHealthFailFasts, health_total.fail_fasts);
+  set(TelemetryCounter::kHealthProbes, health_total.probes);
   return snap;
 }
 
@@ -537,17 +557,6 @@ std::size_t Library::retired_sets_pending() const {
 
 // --- batched snapshot reads ----------------------------------------------
 
-EventSet* Library::current_running() const noexcept {
-  if (tls_context_cache.token == instance_token_ &&
-      tls_context_cache.state != nullptr) {
-    return tls_context_cache.state->running.load(std::memory_order_acquire);
-  }
-  if (ThreadRegistry::ThreadState* state = threads_.find_current()) {
-    return state->running.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
 template <typename ForEachSet>
 Status Library::walk_batch(EventSet* my_running, ForEachSet&& for_each_set,
                            std::span<long long> values,
@@ -605,25 +614,6 @@ Status Library::walk_batch(EventSet* my_running, ForEachSet&& for_each_set,
   if (entries_used != nullptr) *entries_used = n;
   if (values_used != nullptr) *values_used = used;
   return Error::kOk;
-}
-
-Status Library::read_many(std::span<EventSet* const> sets,
-                          std::span<long long> values,
-                          std::span<SnapshotEntry> entries,
-                          std::size_t* values_used) {
-  if (values_used != nullptr) *values_used = 0;
-  if (entries.size() < sets.size()) return Error::kInvalid;
-  // The caller owns the sets' lifetimes: no registration, no epoch pin.
-  return walk_batch(
-      current_running(),
-      [&](auto&& visit) -> Status {
-        for (EventSet* set : sets) {
-          if (set == nullptr) return Error::kInvalid;
-          PAPIREPRO_RETURN_IF_ERROR(visit(set->handle(), set));
-        }
-        return Error::kOk;
-      },
-      values, entries, nullptr, values_used);
 }
 
 Status Library::read_many_handles(std::span<const int> handles,

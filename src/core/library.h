@@ -158,20 +158,15 @@ class Library {
   }
 
   // --- batched snapshot reads ---
-  /// Reads every set in `sets` in one pass: the calling thread's context
-  /// is resolved once, its own running set gets a full live read, every
-  /// other set is served from its seqlock publication (kPublished flag).
-  /// `entries[i]` describes set i's values at
-  /// values[entries[i].first_value ..+ num_values).  Zero heap
-  /// allocation.  kInvalid when entries or values are too small.
-  Status read_many(std::span<EventSet* const> sets,
-                   std::span<long long> values,
-                   std::span<SnapshotEntry> entries,
-                   std::size_t* values_used = nullptr);
-  /// Handle-resolving variant (the C API's entry): lookups happen inside
-  /// the caller's epoch pin, so a concurrent destroy_event_set defers
-  /// reclamation instead of racing.  Unknown handles yield a per-entry
-  /// kNoEventSet status, not a batch failure.
+  /// Reads the sets `handles` name in one pass: the calling thread's own
+  /// running set gets a full live read, every other set is served from
+  /// its seqlock publication (kPublished flag).  `entries[i]` describes
+  /// set i's values at values[entries[i].first_value ..+ num_values).
+  /// Lookups happen inside the caller's epoch pin, so a concurrent
+  /// destroy_event_set defers reclamation instead of racing.  Unknown
+  /// handles yield a per-entry kNoEventSet status, not a batch failure.
+  /// Zero heap allocation once the thread is registered.  kInvalid when
+  /// entries or values are too small.
   Status read_many_handles(std::span<const int> handles,
                            std::span<long long> values,
                            std::span<SnapshotEntry> entries,
@@ -195,7 +190,7 @@ class Library {
 
   // --- lock observability (test hooks) ---
   /// Total writer-mutex acquisitions (thread registry + handle table) so
-  /// far.  Steady-state read/accum/read_many/snapshot_all must leave
+  /// far.  Steady-state read/accum/read_many_handles/snapshot_all must leave
   /// this unchanged — the assertion tests prove the lock-free claim.
   std::uint64_t lock_acquisitions() const noexcept {
     return threads_.lock_acquisitions() +
@@ -287,14 +282,14 @@ class Library {
   SamplingStats sampling_stats() const { return sampling_.stats(); }
 
   // --- self-telemetry ---
-  /// The library-wide introspection registry.  Every subsystem (EventSet
-  /// control paths, retry wrapper, allocation cache, sampling pipeline,
-  /// fault decorator) bumps counters here; tools and the C API read one
-  /// consistent snapshot back out.
+  /// The library-wide introspection registry.  The EventSet control
+  /// paths, retry wrapper, fault decorator and collectors bump counters
+  /// here; tools and the C API read one snapshot back out.
   TelemetryRegistry& telemetry() noexcept { return telemetry_; }
   const TelemetryRegistry& telemetry() const noexcept { return telemetry_; }
-  /// Registry counter totals plus the subsystem gauges (alloc-cache
-  /// entries, sampling ring state) folded in — the one read path behind
+  /// Registry counter totals plus what the subsystems count themselves
+  /// (alloc-cache, sampling and summed health counters and gauges), read
+  /// from their owners — the one read path behind
   /// PAPIrepro_get_telemetry and the legacy stats entry points.
   TelemetrySnapshot telemetry_snapshot() const;
   /// Enables/disables the per-thread trace rings (PAPIrepro_set_trace).
@@ -359,7 +354,7 @@ class Library {
   /// Frees every graveyard entry no active reader pin can still reach.
   /// Caller holds sets_mutex_.
   void reclaim_retired_locked();
-  /// The one batch loop (read_many, read_many_handles, snapshot_all):
+  /// The one batch loop (read_many_handles and snapshot_all):
   /// `for_each_set(visit)` calls visit(handle, set) per slot, in order,
   /// and returns the first error a visit does.  `my_running` is read
   /// live (publication fallback), every other set from its publication.
@@ -368,14 +363,10 @@ class Library {
                     std::span<long long> values,
                     std::span<SnapshotEntry> entries,
                     std::size_t* entries_used, std::size_t* values_used);
-  /// The calling thread's currently running set, resolved through the
-  /// thread-local cache (no registry lock), or nullptr.
-  EventSet* current_running() const noexcept;
 
-  /// Declared first: every other subsystem (substrate decorators, the
-  /// allocation cache, the sampling aggregator, EventSets) holds a raw
-  /// pointer into the registry, so it must be constructed before and
-  /// destroyed after all of them.
+  /// Declared first: substrate decorators, health monitors and
+  /// EventSets hold a raw pointer into the registry, so it must be
+  /// constructed before and destroyed after all of them.
   TelemetryRegistry telemetry_;
 
   /// Owns every component's Substrate (component 0 is the one the

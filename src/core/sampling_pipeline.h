@@ -28,8 +28,6 @@
 
 namespace papirepro::papi {
 
-class TelemetryRegistry;
-
 /// Pipeline knobs (PAPIrepro_set_sampling).  `async` off keeps the seed
 /// behaviour: overflow handlers run synchronously inside the counting
 /// thread.  Changes apply to EventSets started afterwards.
@@ -44,7 +42,8 @@ struct SamplingConfig {
 };
 
 /// Cumulative pipeline counters (PAPIrepro_sampling_stats); totals
-/// since Library construction, across all rings ever attached.
+/// since Library construction, across all rings ever attached.  The
+/// telemetry snapshot's samples_* counters are read from here.
 struct SamplingStats {
   std::uint64_t enqueued = 0;    ///< records accepted by rings
   std::uint64_t dropped = 0;     ///< records lost to full rings
@@ -86,13 +85,6 @@ class SamplingAggregator {
 
   SamplingStats stats() const;
 
-  /// Mirrors dispatch counts into the library-wide registry (the
-  /// aggregator thread registers its own slab on first dispatch).
-  /// Called once by the owning Library, which outlives the aggregator.
-  void bind_telemetry(TelemetryRegistry* telemetry) noexcept {
-    telemetry_.store(telemetry, std::memory_order_relaxed);
-  }
-
  private:
   struct Source {
     SampleRing* ring = nullptr;
@@ -114,7 +106,6 @@ class SamplingAggregator {
   bool stop_requested_ = false;
   bool sweeping_ = false;  ///< aggregator mid-pass; detach defers erase
 
-  std::atomic<TelemetryRegistry*> telemetry_{nullptr};
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> flushes_{0};

@@ -28,9 +28,8 @@ TelemetrySnapshot TelemetryRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   out.threads_seen = slabs_.size();
   for (const auto& slab : slabs_) {
-    for (std::size_t c = 0; c < kNumTelemetryCounters; ++c) {
-      out.counters[c] +=
-          slab->counts[c].value.load(std::memory_order_relaxed);
+    for (std::size_t c = 0; c < kNumSlabCounters; ++c) {
+      out.counters[c] += slab->counts[c].load(std::memory_order_relaxed);
     }
     for (std::size_t c = 0; c < out.component_counters.size(); ++c) {
       out.component_counters[c] +=

@@ -6,8 +6,11 @@
 // that cost from external benches.  The TelemetryRegistry makes it a
 // first-class runtime surface:
 //
-//   * a fixed enum of library-wide counters, maintained as per-thread
-//     cache-line-padded relaxed-atomic slabs and summed on read.  The
+//   * a fixed enum of library-wide counters.  The ones the registry
+//     owns live in per-thread, single-writer relaxed-atomic slabs (one
+//     cache-line-aligned block per thread) summed on read; the ones a
+//     subsystem already counts are read from that subsystem when
+//     Library::telemetry_snapshot() runs, never mirrored.  The
 //     bump path is zero-allocation and lock-free in steady state: a
 //     thread-local (token, slab) memo — the same ABA-safe pattern as the
 //     Library's context cache — resolves the slab without touching the
@@ -32,11 +35,17 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/component.h"
 
 namespace papirepro::papi {
 
-/// Every introspection counter the library maintains about itself.  One
-/// slot per slab entry; the order is the wire order of the C API struct.
+/// Every introspection counter the library reports about itself.  The
+/// counters before kNumSlabCounters are the registry's own: each thread
+/// bumps them in its slab.  The rest have an owning subsystem that
+/// already counts them (allocation cache, sampling rings and aggregator,
+/// health breakers); Library::telemetry_snapshot() reads those owners,
+/// so each fact is counted once.  The C API struct is filled by name, so
+/// this order is free.
 enum class TelemetryCounter : std::size_t {
   kStarts = 0,           ///< successful EventSet::start() calls
   kStops,                ///< successful EventSet::stop() calls
@@ -48,28 +57,33 @@ enum class TelemetryCounter : std::size_t {
   kRetryExhaustions,     ///< transient faults surfaced after the budget
   kDegradations,         ///< degradation-ladder activations
   kFaultsInjected,       ///< faults the injecting decorator delivered
-  kAllocCacheHits,       ///< allocation-memo hits
-  kAllocCacheMisses,     ///< allocation-memo misses (matcher solves)
-  kAllocCacheEvictions,  ///< LRU evictions
-  kAllocCacheInvalidations,  ///< generation-change flushes
-  kSamplesEnqueued,      ///< overflow samples accepted by rings
-  kSamplesDropped,       ///< overflow samples lost to full rings
-  kSamplesDispatched,    ///< samples delivered by the aggregator
   kOverflowsSuppressed,  ///< dispatches dropped after clear_overflow()
   kTraceRecords,         ///< trace records accepted by trace rings
   kTraceDrops,           ///< trace records lost to full trace rings
-  kHealthTransitions,    ///< health state-machine transitions
-  kHealthFailFasts,      ///< ops rejected fast by an open circuit breaker
-  kHealthProbes,         ///< probation probes admitted to the substrate
   kSanityFaults,         ///< counter readings flagged non-monotonic
   kCollectorFrames,      ///< snapshot frames ingested by collectors
   kCollectorDecodeErrors,  ///< frames rejected by the wire decoder
   kCollectorReductions,  ///< cluster reductions computed by collectors
+  // Read from their owners at snapshot time; never bumped.
+  kAllocCacheHits,       ///< allocation-memo hits
+  kAllocCacheMisses,     ///< allocation-memo misses (matcher solves)
+  kAllocCacheEvictions,  ///< LRU evictions
+  kAllocCacheInvalidations,  ///< generation-change flushes
+  kSamplesEnqueued,      ///< overflow samples accepted by attached rings
+  kSamplesDropped,       ///< overflow samples lost to full rings
+  kSamplesDispatched,    ///< samples delivered by the aggregator
+  kHealthTransitions,    ///< health state-machine transitions
+  kHealthFailFasts,      ///< ops rejected fast by an open circuit breaker
+  kHealthProbes,         ///< probation probes admitted to the substrate
   kNumCounters
 };
 
 inline constexpr std::size_t kNumTelemetryCounters =
     static_cast<std::size_t>(TelemetryCounter::kNumCounters);
+/// Counters a thread slab holds: every one before the first owner-read
+/// counter.
+inline constexpr std::size_t kNumSlabCounters =
+    static_cast<std::size_t>(TelemetryCounter::kAllocCacheHits);
 
 /// Stable short names, indexed by counter (summary dumps, C callers).
 constexpr std::array<const char*, kNumTelemetryCounters>
@@ -79,15 +93,16 @@ constexpr std::array<const char*, kNumTelemetryCounters>
         "resets",           "mux_rotations",
         "retry_attempts",   "retry_exhaustions",
         "degradations",     "faults_injected",
+        "overflows_suppressed", "trace_records",
+        "trace_drops",      "sanity_faults",
+        "collector_frames", "collector_decode_errors",
+        "collector_reductions",
         "alloc_cache_hits", "alloc_cache_misses",
         "alloc_cache_evictions", "alloc_cache_invalidations",
         "samples_enqueued", "samples_dropped",
-        "samples_dispatched", "overflows_suppressed",
-        "trace_records",    "trace_drops",
+        "samples_dispatched",
         "health_transitions", "health_fail_fasts",
-        "health_probes",    "sanity_faults",
-        "collector_frames", "collector_decode_errors",
-        "collector_reductions",
+        "health_probes",
 };
 
 constexpr const char* telemetry_counter_name(TelemetryCounter c) {
@@ -108,11 +123,6 @@ enum class ComponentCounter : std::size_t {
 
 inline constexpr std::size_t kNumComponentCounters =
     static_cast<std::size_t>(ComponentCounter::kNumCounters);
-
-/// Must match papi::kMaxComponents (component.h keeps the registry-side
-/// cap; the slabs carry a fixed block so the bump path stays a plain
-/// indexed store).
-inline constexpr std::size_t kTelemetryMaxComponents = 8;
 
 /// What a trace record marks.  Spans (dur > 0 possible) for the control
 /// operations, instants for one-shot occurrences.
@@ -203,16 +213,15 @@ class TraceRing {
   alignas(64) std::atomic<std::uint64_t> tail_{0};
 };
 
-/// Point-in-time sum of every telemetry counter plus the gauges folded
-/// in from the subsystems (Library::telemetry_snapshot() fills those) —
+/// Point-in-time sum of every slab counter, plus the owner-read counters
+/// and the subsystem gauges that Library::telemetry_snapshot() fills —
 /// the one consistent read path behind PAPIrepro_get_telemetry and the
 /// legacy alloc-cache / sampling stats entry points.
 struct TelemetrySnapshot {
   std::array<std::uint64_t, kNumTelemetryCounters> counters{};
   /// Per-component control-operation totals, indexed
   /// [component * kNumComponentCounters + counter].
-  std::array<std::uint64_t,
-             kTelemetryMaxComponents * kNumComponentCounters>
+  std::array<std::uint64_t, kMaxComponents * kNumComponentCounters>
       component_counters{};
   /// Registered components at snapshot time (Library fills this).
   std::uint64_t num_components = 0;
@@ -234,7 +243,7 @@ struct TelemetrySnapshot {
   }
   std::uint64_t component_value(std::size_t component,
                                 ComponentCounter c) const noexcept {
-    if (component >= kTelemetryMaxComponents) return 0;
+    if (component >= kMaxComponents) return 0;
     return component_counters[component * kNumComponentCounters +
                               static_cast<std::size_t>(c)];
   }
@@ -254,9 +263,10 @@ class TelemetryRegistry {
   TelemetryRegistry(const TelemetryRegistry&) = delete;
   TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
 
-  /// Master switch.  Off turns every bump/trace call into one relaxed
-  /// load + branch — bench_telemetry_overhead measures enabled-vs-
-  /// disabled on exactly this knob.
+  /// Master switch over what the registry itself counts.  Off turns
+  /// every bump call into one relaxed load + branch —
+  /// bench_telemetry_overhead measures enabled-vs-disabled on exactly
+  /// this knob.  The owner-read counters keep counting either way.
   void set_enabled(bool enabled) noexcept {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
@@ -268,18 +278,22 @@ class TelemetryRegistry {
   }
 
   /// The hot path: one relaxed flag load, one thread-local memo probe,
-  /// one relaxed load+store on a cache-line-private atomic.  The slab
+  /// one relaxed load+store on a thread-private atomic.  The slab
   /// is single-writer (current_slab() always resolves the *calling*
   /// thread's slab), so the increment needs no atomic RMW — a plain
   /// load/add/store is exact and keeps the `lock` prefix off the read
   /// path.  The only slow case is a thread's first bump against this
   /// registry, which registers a slab under the mutex (and allocates —
   /// callers that assert zero-allocation warm up first, like every
-  /// other TLS cache in the library).
+  /// other TLS cache in the library).  An owner-read counter has no
+  /// slab cell; bumping one does nothing (callers pass constants, so
+  /// the range check folds away).
   void bump(TelemetryCounter c, std::uint64_t n = 1) noexcept {
+    const auto index = static_cast<std::size_t>(c);
+    if (index >= kNumSlabCounters) return;
     if (!enabled_.load(std::memory_order_relaxed)) return;
     if (Slab* slab = current_slab()) {
-      auto& cell = slab->counts[static_cast<std::size_t>(c)].value;
+      auto& cell = slab->counts[index];
       cell.store(cell.load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
     }
@@ -292,7 +306,7 @@ class TelemetryRegistry {
   void bump_component(std::uint32_t component, ComponentCounter c,
                       std::uint64_t n = 1) noexcept {
     if (!enabled_.load(std::memory_order_relaxed)) return;
-    if (component >= kTelemetryMaxComponents) return;
+    if (component >= kMaxComponents) return;
     if (Slab* slab = current_slab()) {
       auto& cell =
           slab->component_counts[component * kNumComponentCounters +
@@ -312,11 +326,10 @@ class TelemetryRegistry {
     Slab* slab = current_slab();
     if (slab == nullptr) return;
     auto& cell =
-        slab->counts[static_cast<std::size_t>(TelemetryCounter::kReads)]
-            .value;
+        slab->counts[static_cast<std::size_t>(TelemetryCounter::kReads)];
     cell.store(cell.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
-    if (component >= kTelemetryMaxComponents) return;
+    if (component >= kMaxComponents) return;
     auto& ccell =
         slab->component_counts[component * kNumComponentCounters +
                                static_cast<std::size_t>(
@@ -339,9 +352,8 @@ class TelemetryRegistry {
     const bool pushed =
         ring->try_push(TraceRecord{ts_cycles, dur_cycles, arg, kind});
     auto& cell = slab->counts[static_cast<std::size_t>(
-                                  pushed ? TelemetryCounter::kTraceRecords
-                                         : TelemetryCounter::kTraceDrops)]
-                     .value;
+        pushed ? TelemetryCounter::kTraceRecords
+               : TelemetryCounter::kTraceDrops)];
     cell.store(cell.load(std::memory_order_relaxed) + 1,
                std::memory_order_relaxed);
   }
@@ -359,7 +371,7 @@ class TelemetryRegistry {
                    std::size_t ring_capacity = kDefaultTraceCapacity);
 
   /// Counter totals summed across every slab (live and dead threads).
-  /// Gauges owned by other subsystems are zero here; Library's
+  /// Gauges and owner-read counters are zero here; Library's
   /// telemetry_snapshot() fills them.
   TelemetrySnapshot snapshot() const;
 
@@ -376,23 +388,19 @@ class TelemetryRegistry {
   static std::string render_summary(const TelemetrySnapshot& snapshot);
 
  private:
-  struct alignas(64) PaddedCounter {
-    std::atomic<std::uint64_t> value{0};
-  };
-  /// One thread's counter slab.  The counters are the thread's private
-  /// cache lines (padded so two threads' bumps never false-share) and
-  /// **single-writer**: every bump/trace call resolves the calling
-  /// thread's own slab, so increments are relaxed load+store pairs and
-  /// only snapshot() reads them cross-thread; the ring pointer is
+  /// One thread's counter slab: only the registry-owned counters, in
+  /// one block aligned to a cache line so two threads' slabs never
+  /// share a line.  **Single-writer**: every bump/trace call resolves
+  /// the calling thread's own slab, so increments are relaxed
+  /// load+store pairs and only snapshot() reads them cross-thread; the
+  /// cells need no padding from each other.  The ring pointer is
   /// written under the registry mutex and acquire-read by the owning
   /// thread's trace path.
-  struct Slab {
-    std::array<PaddedCounter, kNumTelemetryCounters> counts{};
+  struct alignas(64) Slab {
+    std::array<std::atomic<std::uint64_t>, kNumSlabCounters> counts{};
     /// Per-component block, same single-writer contract as `counts`.
-    /// Unpadded: one thread owns the whole block, so the only sharing
-    /// is with snapshot() reads.
     std::array<std::atomic<std::uint64_t>,
-               kTelemetryMaxComponents * kNumComponentCounters>
+               kMaxComponents * kNumComponentCounters>
         component_counts{};
     std::atomic<TraceRing*> ring{nullptr};
     std::uint64_t thread_key = 0;

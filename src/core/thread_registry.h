@@ -56,7 +56,7 @@ class ThreadRegistry {
         component_contexts;
     std::atomic<EventSet*> running{nullptr};
     /// Epoch pin for batched readers: nonzero while this thread holds
-    /// handle-table pointers inside read_many()/snapshot_all(); 0 when
+    /// handle-table pointers inside read_many_handles()/snapshot_all(); 0 when
     /// quiescent.  Deferred EventSet reclamation scans these.
     std::atomic<std::uint64_t> epoch{0};
   };

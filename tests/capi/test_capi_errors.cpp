@@ -8,11 +8,14 @@
 // changes cannot silently shift a code.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "capi/papi.h"
@@ -515,6 +518,57 @@ TEST_F(CapiErrors, TelemetrySnapshotAndCompatWrappersAgree) {
   EXPECT_NE(json.find("\"start\""), std::string::npos);
   EXPECT_NE(json.find("\"stop\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST_F(CapiErrors, StatsWrappersAgreeAfterAsyncRunWithDrops) {
+  // A minimum ring whose handler holds the aggregator until the run is
+  // over: at most one record is in dispatch and eight are buffered, so
+  // the rest of the run's samples drop.  The two legacy stats entry
+  // points and the unified struct read the same owners, so they agree
+  // field for field.
+  ASSERT_EQ(PAPIrepro_set_sampling(1, 8), PAPI_OK);
+  int es = PAPI_NULL;
+  ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);
+  ASSERT_EQ(PAPI_add_event(es, PAPI_TOT_INS), PAPI_OK);
+  static std::atomic<bool> released{false};
+  static std::atomic<long long> handled{0};
+  released = false;
+  handled = 0;
+  ASSERT_EQ(PAPI_overflow(es, PAPI_TOT_INS, 100, 0,
+                          [](int, void*, long long, void*) {
+                            while (!released.load()) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(50));
+                            }
+                            handled.fetch_add(1);
+                          }),
+            PAPI_OK);
+  ASSERT_EQ(PAPI_start(es), PAPI_OK);
+  PAPIrepro_sim_run(sim_, -1);
+  released = true;
+  long long v = 0;
+  ASSERT_EQ(PAPI_stop(es, &v), PAPI_OK);  // drains the ring
+
+  PAPIrepro_telemetry_t t = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  PAPIrepro_alloc_cache_stats_t cache = {};
+  ASSERT_EQ(PAPIrepro_alloc_cache_stats(&cache), PAPI_OK);
+  PAPIrepro_sampling_stats_t sampling = {};
+  ASSERT_EQ(PAPIrepro_sampling_stats(&sampling), PAPI_OK);
+
+  EXPECT_GT(t.samples_dropped, 0);
+  EXPECT_GT(t.samples_dispatched, 0);
+  EXPECT_EQ(t.samples_dispatched, t.samples_enqueued);
+  EXPECT_EQ(t.samples_dispatched, handled.load());
+  EXPECT_EQ(sampling.enqueued, t.samples_enqueued);
+  EXPECT_EQ(sampling.dropped, t.samples_dropped);
+  EXPECT_EQ(sampling.dispatched, t.samples_dispatched);
+  EXPECT_GE(t.alloc_cache_misses, 1);
+  EXPECT_EQ(cache.hits, t.alloc_cache_hits);
+  EXPECT_EQ(cache.misses, t.alloc_cache_misses);
+  EXPECT_EQ(cache.evictions, t.alloc_cache_evictions);
+  EXPECT_EQ(cache.invalidations, t.alloc_cache_invalidations);
+  EXPECT_EQ(cache.entries, t.alloc_cache_entries);
 }
 
 // ---- fault-injection extension surface ----

@@ -1,4 +1,4 @@
-// Batched snapshot reads (Library::read_many / snapshot_all) and the
+// Batched snapshot reads (Library::read_many_handles / snapshot_all) and the
 // epoch-protected registry they walk.  The contract under test: one
 // call serves many EventSets — the caller's running set as a full live
 // read, everything else from its seqlock publication — with per-entry
@@ -60,7 +60,8 @@ TEST(BatchedRead, ReadManyMatchesIndividualReads) {
   std::vector<long long> values(6);
   std::vector<SnapshotEntry> entries(3);
   std::size_t used = 0;
-  ASSERT_TRUE(f.library->read_many(sets, values, entries, &used).ok());
+  ASSERT_TRUE(
+      f.library->read_many_handles(handles, values, entries, &used).ok());
   ASSERT_EQ(used, 6u);
 
   // Entry 0 is the caller's running set: a full live read, no flags.
@@ -107,10 +108,10 @@ TEST(BatchedRead, NeverStartedSetReportsNotRunning) {
                {.charge_costs = false});
   EventSet& set = f.new_set();
   ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
-  EventSet* sets[1] = {&set};
+  const int handles[1] = {set.handle()};
   std::vector<long long> values(2);
   std::vector<SnapshotEntry> entries(1);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many_handles(handles, values, entries).ok());
   EXPECT_EQ(entries[0].status, Error::kNotRunning);
   EXPECT_EQ(entries[0].num_values, 0u);
 }
@@ -181,10 +182,10 @@ TEST(BatchedRead, PublicationCyclesStampAdvancesAndAges) {
   ASSERT_TRUE(live->start().ok());
   f.machine->run(2'000);
 
-  EventSet* sets[2] = {live, stopped};
+  const int sets[2] = {live->handle(), stopped->handle()};
   std::vector<long long> values(4);
   std::vector<SnapshotEntry> entries(2);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many_handles(sets, values, entries).ok());
   // Both entries ran at some point, so both carry a nonzero stamp.
   EXPECT_GT(entries[0].pub_cycles, 0u);
   EXPECT_GT(entries[1].pub_cycles, 0u);
@@ -194,15 +195,15 @@ TEST(BatchedRead, PublicationCyclesStampAdvancesAndAges) {
   // More work, another batch: the live set's stamp advances with its
   // reads; the stopped set's publication is frozen at its stop().
   f.machine->run(2'000);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many_handles(sets, values, entries).ok());
   EXPECT_GT(entries[0].pub_cycles, live_stamp);
   EXPECT_EQ(entries[1].pub_cycles, stopped_stamp);
 
   // A never-started set has no stamp to report.
   EventSet& idle = f.new_set();
   ASSERT_TRUE(idle.add_preset(Preset::kTotIns).ok());
-  EventSet* idle_sets[1] = {&idle};
-  ASSERT_TRUE(f.library->read_many(idle_sets, values, entries).ok());
+  const int idle_sets[1] = {idle.handle()};
+  ASSERT_TRUE(f.library->read_many_handles(idle_sets, values, entries).ok());
   EXPECT_EQ(entries[0].status, Error::kNotRunning);
   EXPECT_EQ(entries[0].pub_cycles, 0u);
   EXPECT_TRUE(live->stop().ok());
@@ -213,21 +214,21 @@ TEST(BatchedRead, CapacityPrechecksFailWithInvalid) {
                {.charge_costs = false});
   std::vector<std::array<long long, 2>> finals;
   const std::vector<int> handles = make_sets(f, 2, &finals);
-  EventSet* sets[2] = {f.library->event_set(handles[0]).value(),
-                       f.library->event_set(handles[1]).value()};
   std::vector<long long> values(4);
   std::vector<SnapshotEntry> entries(2);
   // Fewer entries than sets.
   EXPECT_EQ(f.library
-                ->read_many(sets, values,
-                            std::span<SnapshotEntry>(entries).first(1))
+                ->read_many_handles(
+                    handles, values,
+                    std::span<SnapshotEntry>(entries).first(1))
                 .error(),
             Error::kInvalid);
   // Values buffer too small for the second set's publication (set 0
   // never ran, so it needs no value slots; set 1 needs two).
   EXPECT_EQ(f.library
-                ->read_many(sets, std::span<long long>(values).first(1),
-                            entries)
+                ->read_many_handles(
+                    handles, std::span<long long>(values).first(1),
+                    entries)
                 .error(),
             Error::kInvalid);
   // Span snapshot_all with zero entry capacity but live sets.
@@ -248,23 +249,17 @@ TEST(BatchedRead, SteadyStateIsAllocationFree) {
   const std::vector<int> handles = make_sets(f, 8, &finals);
   EventSet* live = f.library->event_set(handles[0]).value();
   ASSERT_TRUE(live->start().ok());
-  std::vector<EventSet*> sets;
-  for (const int h : handles) {
-    sets.push_back(f.library->event_set(h).value());
-  }
   std::vector<long long> values(16);
   std::vector<SnapshotEntry> entries(8);
   std::vector<SnapshotEntry> vec_entries;
   std::vector<long long> vec_values;
   // Warm every path once so lazily-sized capacity fills up front.
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
   ASSERT_TRUE(f.library->read_many_handles(handles, values, entries).ok());
   ASSERT_TRUE(f.library->snapshot_all(vec_entries, vec_values).ok());
 
   constexpr int kIters = 1000;
   AllocationGuard guard;
   for (int i = 0; i < kIters; ++i) {
-    (void)f.library->read_many(sets, values, entries);
     (void)f.library->read_many_handles(handles, values, entries);
     (void)f.library->snapshot_all(vec_entries, vec_values);
   }

@@ -474,6 +474,68 @@ TEST(HealthRecovery, SpanningSetReadsThroughOutageAndSelfHeals) {
   ASSERT_TRUE(set.stop(v).ok());
 }
 
+TEST(HealthRecovery, LibraryCountsAreSumsOverComponents) {
+  // Both the cpu and the mem component sit behind the same seeded plan:
+  // the first read passes, the next six fail (two retry-exhausted ops
+  // under the default budget), then the substrate recovers.  Each
+  // breaker trips, fails fast once and recovers on a probe; the
+  // library-wide health counters are the sums over the components.
+  FaultPlan plan;
+  plan.seed = 20'030'422;
+  plan.at(FaultSite::kRead).fail_after = 1;
+  plan.at(FaultSite::kRead).fail_times = 6;
+  FaultFixture f(sim::make_saxpy(200'000), pmu::sim_x86(), plan,
+                 {.charge_costs = false});
+  auto mem = std::make_unique<FaultInjectingSubstrate>(
+      std::make_unique<MemBandwidthSubstrate>(*f.machine), plan);
+  ASSERT_TRUE(
+      f.library->register_component("mem", "faulty uncore", std::move(mem))
+          .ok());
+  HealthPolicy p;
+  p.max_consecutive_exhaustions = 2;
+  p.probe_cooldown_usec = 1;  // sim clock: frozen unless the machine runs
+  p.probe_cooldown_max_usec = 1;
+  p.probation_successes = 1;
+  ASSERT_TRUE(f.library->set_health_policy(p).ok());
+
+  EventSet& set = f.new_set();
+  ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+  ASSERT_TRUE(set.add_named("mem::L2_MISSES").ok());
+  ASSERT_TRUE(set.start().ok());
+  std::vector<long long> v(2);
+  std::vector<std::uint32_t> flags(2);
+  // Good read, then two exhausted reads that trip both breakers.
+  for (int i = 0; i < 3; ++i) {
+    f.machine->run(3'000);
+    ASSERT_TRUE(set.read_ex(v, flags).ok());
+  }
+  // Inside the cool-down (the sim clock has not moved): fail fast.
+  ASSERT_TRUE(set.read_ex(v, flags).ok());
+  // Past the cool-down: the probe succeeds and both breakers close.
+  f.machine->run(60'000);
+  ASSERT_TRUE(set.read_ex(v, flags).ok());
+
+  ComponentHealth sum;
+  for (std::uint32_t c = 0; c < f.library->num_components(); ++c) {
+    const ComponentHealth h = f.library->component_health(c).value();
+    SCOPED_TRACE(c);
+    EXPECT_EQ(h.state, HealthState::kHealthy);
+    EXPECT_EQ(h.quarantines, 1u);
+    EXPECT_GE(h.fail_fasts, 1u);
+    EXPECT_GE(h.probes, 1u);
+    sum.transitions += h.transitions;
+    sum.fail_fasts += h.fail_fasts;
+    sum.probes += h.probes;
+  }
+  const TelemetrySnapshot snap = f.library->telemetry_snapshot();
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthTransitions),
+            sum.transitions);
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthFailFasts),
+            sum.fail_fasts);
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthProbes), sum.probes);
+  ASSERT_TRUE(set.stop(v).ok());
+}
+
 TEST(HealthRecovery, LegacyReadStillFailsWholeCallOnQuarantine) {
   // The classic all-or-nothing read() contract is unchanged: once the
   // mem component is quarantined, read() surfaces the health error

@@ -194,6 +194,62 @@ TEST(TelemetryCounters, DisabledRegistryCountsNothing) {
   EXPECT_EQ(snap.value(TelemetryCounter::kStarts), 1u);
 }
 
+TEST(TelemetryCounters, OwnerCountsSurviveDisabledRegistry) {
+  // The alloc-cache and health cells are read from their owners, not
+  // mirrored into the registry, so the master switch does not gate them:
+  // with telemetry off they still equal the owners' own counts.
+  FaultPlan plan;
+  plan.at(FaultSite::kRead).fail_times = 1 << 20;  // hard down
+  FaultFixture f(sim::make_saxpy(2000), pmu::sim_x86(), plan,
+                 {.charge_costs = false});
+  f.library->telemetry().set_enabled(false);
+  HealthPolicy p;
+  p.max_consecutive_exhaustions = 2;
+  p.probe_cooldown_usec = 1'000'000'000;  // stays open in sim time
+  p.probe_cooldown_max_usec = 1'000'000'000;
+  ASSERT_TRUE(f.library->set_health_policy(p).ok());
+
+  // The same event list twice: one matcher solve, then a memo hit.
+  EventSet& first = f.new_set();
+  ASSERT_TRUE(first.add_preset(Preset::kTotIns).ok());
+  EventSet& set = f.new_set();
+  ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+  ASSERT_TRUE(set.start().ok());
+  f.machine->run(500);
+  long long v[1] = {0};
+  for (int i = 0; i < 4; ++i) (void)set.read({v, 1});  // trip, fail fast
+
+  const TelemetrySnapshot snap = f.library->telemetry_snapshot();
+  EXPECT_FALSE(snap.enabled);
+  EXPECT_EQ(snap.value(TelemetryCounter::kReads), 0u);  // gated
+  const AllocationCache::Stats cache = f.library->allocation_cache().stats();
+  EXPECT_GE(cache.hits, 1u);
+  EXPECT_GE(cache.misses, 1u);
+  EXPECT_EQ(snap.value(TelemetryCounter::kAllocCacheHits), cache.hits);
+  EXPECT_EQ(snap.value(TelemetryCounter::kAllocCacheMisses), cache.misses);
+  EXPECT_EQ(snap.value(TelemetryCounter::kAllocCacheEvictions),
+            cache.evictions);
+  EXPECT_EQ(snap.value(TelemetryCounter::kAllocCacheInvalidations),
+            cache.invalidations);
+  EXPECT_EQ(snap.alloc_cache_entries, cache.entries);
+
+  std::uint64_t transitions = 0;
+  std::uint64_t fail_fasts = 0;
+  std::uint64_t probes = 0;
+  for (std::uint32_t c = 0; c < f.library->num_components(); ++c) {
+    const ComponentHealth h = f.library->component_health(c).value();
+    transitions += h.transitions;
+    fail_fasts += h.fail_fasts;
+    probes += h.probes;
+  }
+  EXPECT_GE(transitions, 2u);  // Healthy -> Degraded -> Quarantined
+  EXPECT_GE(fail_fasts, 1u);
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthTransitions), transitions);
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthFailFasts), fail_fasts);
+  EXPECT_EQ(snap.value(TelemetryCounter::kHealthProbes), probes);
+  (void)set.stop();
+}
+
 TEST(TelemetryAlloc, BumpAndTraceAllocationFree) {
   TelemetryRegistry registry;
   ASSERT_TRUE(registry.set_trace(true, 1024).ok());
@@ -419,8 +475,8 @@ std::vector<long long> read_transcript(Library& library,
     // Off the owning thread a running set is served from its
     // publication, never read live.
     std::thread reader([&] {
-      EventSet* sets[1] = {&set};
-      status = library.read_many(sets, values, {&e, 1});
+      const int handles[1] = {set.handle()};
+      status = library.read_many_handles(handles, values, {&e, 1});
     });
     reader.join();
     record(status, values);
